@@ -395,8 +395,7 @@ fn analyze_ftb_stream(
 ) -> Result<(), String> {
     let all_warnings = args.has_flag("all-warnings");
     let file = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let mut reader = FtbReader::new(std::io::BufReader::new(file))
-        .map_err(|e| format!("parsing {path}: {e}"))?;
+    let mut reader = FtbReader::new(file).map_err(|e| format!("parsing {path}: {e}"))?;
     if shards > 1 {
         let config = parallel_config(args, shards, guard)?;
         let report = analyze_parallel_stream(&mut reader, &config)

@@ -140,3 +140,25 @@ fn errors_are_reported_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown benchmark"));
 }
+
+/// A 44-byte `.ftb` whose one BARRIER record claims `u32::MAX` members is a
+/// decode error with exit status 1, not an allocation failure that aborts.
+#[test]
+fn forged_barrier_count_exits_with_an_error() {
+    let mut bytes = ft_trace::FtbWriter::new(Vec::new(), 1, 0, 0)
+        .unwrap()
+        .finish()
+        .unwrap();
+    bytes.extend_from_slice(&[ft_trace::batch::opcode::BARRIER, 0, 0, 0]);
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+    bytes.extend_from_slice(&[0; 4]);
+    let file = tmp("barrier-bomb.ftb");
+    std::fs::write(&file, &bytes).unwrap();
+    let out = ftrace()
+        .args(["analyze", file.to_str().unwrap()])
+        .output()
+        .unwrap();
+    std::fs::remove_file(&file).ok();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("barrier truncated"));
+}

@@ -4,11 +4,12 @@
 //! One OS thread per connection (uploads are long byte streams, so the
 //! thread-per-connection model costs one mostly-blocked thread per tenant
 //! and keeps every code path synchronous and lock-light), plus one
-//! analysis thread per *open session*. The connection thread decodes
-//! `.ftb` bytes incrementally with [`FtbDecoder`] and pushes batches of
-//! decoded [`ft_trace::Op`]s through the session's bounded [`Lane`];
-//! decoding on the socket thread is what lets the `DropOldest` policy shed
-//! *accesses* instead of corrupting the byte stream mid-record.
+//! analysis thread per *open session*. The connection thread decodes each
+//! `DATA` frame's `.ftb` bytes with [`FtbDecoder::decode_block`] into one
+//! [`EventBlock`] and pushes it through the session's bounded [`Lane`];
+//! the worker analyzes that block as it is. Decoding on the socket thread
+//! is what lets the `DropOldest` policy shed *accesses* instead of
+//! corrupting the byte stream mid-record.
 //!
 //! Shutdown is a control frame (`SHUTDOWN`), not a signal: the workspace
 //! is dependency-free and pure-std Rust cannot install signal handlers, so
@@ -23,7 +24,7 @@ use crate::lane::Lane;
 use crate::registry::Registry;
 use crate::session::{SessionMode, Worker};
 use ft_runtime::online::OverflowPolicy;
-use ft_trace::FtbDecoder;
+use ft_trace::{EventBlock, FtbDecoder, FTB_RECORD_BYTES};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,7 +39,7 @@ pub struct ServeConfig {
     /// Global shadow-state budget in bytes, apportioned across live
     /// sessions. `0` = unbudgeted (no guards).
     pub mem_budget: usize,
-    /// Per-session lane capacity in *events* (decoded ops, not bytes).
+    /// Per-session lane capacity in *events* (decoded events, not bytes).
     pub lane_cap: usize,
     /// What to do when a session's lane fills faster than its worker
     /// drains: block the socket (TCP backpressure) or shed old accesses.
@@ -200,22 +201,12 @@ fn handle_conn(
                 let decode_err = {
                     let (worker, decoder) = session.as_mut().expect("checked above");
                     decoder.push(&bytes);
-                    let mut batch = Vec::new();
-                    let mut err = None;
-                    loop {
-                        match decoder.next_op() {
-                            Ok(Some(op)) => batch.push(op),
-                            Ok(None) => break,
-                            Err(e) => {
-                                err = Some(e);
-                                break;
-                            }
-                        }
-                    }
+                    let mut block = EventBlock::with_capacity(bytes.len() / FTB_RECORD_BYTES);
+                    let decoded = decoder.decode_block(&mut block);
                     // Ship what decoded cleanly even on error: the worker
                     // exits via lane close either way.
-                    worker.lane().push(batch);
-                    err
+                    worker.lane().push(block);
+                    decoded.err()
                 };
                 if let Some(e) = decode_err {
                     send(&mut writer, &Frame::Error(format!("ftb decode: {e}")))?;

@@ -40,10 +40,10 @@
 //! [`FtbWriter::write_op`] rejects wider tids rather than truncating.
 
 use crate::batch::{opcode, EventBlock};
-use crate::event::{LockId, ObjId, Op, VarId};
+use crate::event::{ObjId, Op, VarId};
+use crate::ftb_push::FtbDecoder;
 use crate::serial::TraceFormatError;
 use crate::trace::{validate, Trace};
-use ft_clock::Tid;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -57,8 +57,10 @@ pub const FTB_HEADER_BYTES: usize = 32;
 /// Size of one record in bytes.
 pub const FTB_RECORD_BYTES: usize = 12;
 
-const FLAG_VAR_OBJECTS: u32 = 1;
-const N_RECORDS_STREAM: u64 = u64::MAX;
+/// Header flag bit: a var_objects table follows the header.
+pub(crate) const FLAG_VAR_OBJECTS: u32 = 1;
+/// Header record count of an open-ended stream (read records to EOF).
+pub(crate) const N_RECORDS_STREAM: u64 = u64::MAX;
 
 /// Errors from encoding or decoding the `.ftb` binary format.
 #[derive(Debug)]
@@ -95,7 +97,7 @@ impl From<io::Error> for FtbError {
     }
 }
 
-fn format_err(msg: impl Into<String>) -> FtbError {
+pub(crate) fn format_err(msg: impl Into<String>) -> FtbError {
     FtbError::Format(msg.into())
 }
 
@@ -231,175 +233,76 @@ impl<W: Write> FtbWriter<W> {
     }
 }
 
-/// One decoded record group (a barrier and its continuations count as one).
-enum Rec {
-    Simple { kind: u8, tid: u32, arg: u32 },
-    Barrier(Vec<Tid>),
-}
-
 /// Streaming decoder over any [`Read`] source.
 ///
 /// Iterate it for `Result<Op, FtbError>` items, or feed a batch consumer
 /// with [`FtbReader::read_block`] to skip [`Op`] materialization entirely.
+/// The reader is a pull loop around [`FtbDecoder`]: it refills the
+/// decoder's internal buffer with one `read` of about 48 KiB at a time, so
+/// wrapping the source in a `BufReader` only adds a copy. Both decoders
+/// therefore accept exactly the same streams.
 pub struct FtbReader<R: Read> {
     input: R,
-    header: FtbHeader,
-    var_objects: Vec<ObjId>,
-    /// Records left per the header, or `None` for read-to-EOF streams.
-    remaining: Option<u64>,
+    dec: FtbDecoder,
+    /// Set once `input` has hit end of file and the end-of-stream checks
+    /// have passed.
+    eof: bool,
 }
 
 impl<R: Read> FtbReader<R> {
     /// Reads and validates the header (and the var_objects table when
     /// present), leaving the reader positioned at the first record.
-    pub fn new(mut input: R) -> Result<Self, FtbError> {
-        let mut header = [0u8; FTB_HEADER_BYTES];
-        input.read_exact(&mut header).map_err(|e| match e.kind() {
-            io::ErrorKind::UnexpectedEof => format_err("truncated header"),
-            _ => FtbError::Io(e),
-        })?;
-        if header[0..4] != FTB_MAGIC {
-            return Err(format_err("bad magic (not a .ftb stream)"));
-        }
-        let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
-        let version = word(4);
-        if version != FTB_VERSION {
-            return Err(format_err(format!(
-                "unsupported version {version} (this build reads {FTB_VERSION})"
-            )));
-        }
-        let (n_threads, n_vars, n_locks, flags) = (word(8), word(12), word(16), word(20));
-        if flags & !FLAG_VAR_OBJECTS != 0 {
-            return Err(format_err(format!("unknown flag bits {flags:#x}")));
-        }
-        let n_records = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
-        let mut var_objects = Vec::new();
-        if flags & FLAG_VAR_OBJECTS != 0 {
-            let mut buf = [0u8; 4];
-            for _ in 0..n_vars {
-                input
-                    .read_exact(&mut buf)
-                    .map_err(|_| format_err("truncated var_objects table"))?;
-                var_objects.push(ObjId::new(u32::from_le_bytes(buf)));
-            }
-        }
-        Ok(FtbReader {
+    pub fn new(input: R) -> Result<Self, FtbError> {
+        let mut reader = FtbReader {
             input,
-            header: FtbHeader {
-                version,
-                n_threads,
-                n_vars,
-                n_locks,
-                n_records: (n_records != N_RECORDS_STREAM).then_some(n_records),
-            },
-            var_objects,
-            remaining: (n_records != N_RECORDS_STREAM).then_some(n_records),
-        })
+            dec: FtbDecoder::new(),
+            eof: false,
+        };
+        // Before the header is whole, `finish` always fails, so at end of
+        // input `refill` returns that error rather than `Ok(false)`.
+        while !reader.dec.preamble()? {
+            reader.refill()?;
+        }
+        Ok(reader)
     }
 
     /// The decoded stream header.
     pub fn header(&self) -> &FtbHeader {
-        &self.header
+        self.dec
+            .header()
+            .expect("FtbReader::new decoded the header")
     }
 
     /// The per-variable owning-object table, empty when the stream carries
     /// none.
     pub fn var_objects(&self) -> &[ObjId] {
-        &self.var_objects
+        self.dec.var_objects()
     }
 
-    /// Reads the next raw record; `Ok(None)` at a clean end of stream.
-    fn read_record(&mut self) -> Result<Option<[u8; FTB_RECORD_BYTES]>, FtbError> {
-        if self.remaining == Some(0) {
-            return Ok(None);
+    /// Pulls the next chunk of input into the decoder. `Ok(false)` once
+    /// the input is exhausted and [`FtbDecoder::finish`] accepted the end.
+    fn refill(&mut self) -> Result<bool, FtbError> {
+        if self.eof {
+            return Ok(false);
         }
-        let mut rec = [0u8; FTB_RECORD_BYTES];
-        let mut filled = 0;
-        while filled < FTB_RECORD_BYTES {
-            match self.input.read(&mut rec[filled..]) {
-                Ok(0) => {
-                    return if filled == 0 && self.remaining.is_none() {
-                        Ok(None) // clean EOF on an open-ended stream
-                    } else {
-                        Err(format_err("truncated record"))
-                    };
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(FtbError::Io(e)),
-            }
+        if self.dec.fill_from(&mut self.input)? > 0 {
+            return Ok(true);
         }
-        if let Some(left) = self.remaining.as_mut() {
-            *left -= 1;
-        }
-        Ok(Some(rec))
-    }
-
-    /// Decodes the next event group (a barrier consumes its continuations).
-    fn next_rec(&mut self) -> Result<Option<Rec>, FtbError> {
-        let Some(rec) = self.read_record()? else {
-            return Ok(None);
-        };
-        let kind = rec[0];
-        let tid = u16::from_le_bytes(rec[2..4].try_into().expect("2 bytes")) as u32;
-        let arg = u32::from_le_bytes(rec[4..8].try_into().expect("4 bytes"));
-        match kind {
-            opcode::BARRIER => {
-                let count = arg as usize;
-                let mut members = Vec::with_capacity(count);
-                while members.len() < count {
-                    let Some(cont) = self.read_record()? else {
-                        return Err(format_err("barrier truncated mid-member-list"));
-                    };
-                    if cont[0] != opcode::BARRIER_CONT {
-                        return Err(format_err(format!(
-                            "expected barrier continuation, found opcode {}",
-                            cont[0]
-                        )));
-                    }
-                    let in_rec = cont[1] as usize;
-                    if in_rec == 0 || in_rec > 2 || members.len() + in_rec > count {
-                        return Err(format_err("barrier continuation member count out of range"));
-                    }
-                    members.push(Tid::new(u32::from_le_bytes(
-                        cont[4..8].try_into().expect("4 bytes"),
-                    )));
-                    if in_rec == 2 {
-                        members.push(Tid::new(u32::from_le_bytes(
-                            cont[8..12].try_into().expect("4 bytes"),
-                        )));
-                    }
-                }
-                Ok(Some(Rec::Barrier(members)))
-            }
-            opcode::BARRIER_CONT => Err(format_err("orphan barrier continuation record")),
-            k if k < opcode::BARRIER => Ok(Some(Rec::Simple { kind, tid, arg })),
-            k => Err(format_err(format!("unknown opcode {k}"))),
-        }
+        self.dec.finish()?;
+        self.eof = true;
+        Ok(false)
     }
 
     /// Decodes the next event, or `Ok(None)` at end of stream.
     pub fn next_op(&mut self) -> Result<Option<Op>, FtbError> {
-        Ok(self.next_rec()?.map(|rec| match rec {
-            Rec::Barrier(members) => Op::BarrierRelease(members),
-            Rec::Simple { kind, tid, arg } => {
-                let t = Tid::new(tid);
-                match kind {
-                    opcode::READ => Op::Read(t, VarId::new(arg)),
-                    opcode::WRITE => Op::Write(t, VarId::new(arg)),
-                    opcode::ACQUIRE => Op::Acquire(t, LockId::new(arg)),
-                    opcode::RELEASE => Op::Release(t, LockId::new(arg)),
-                    opcode::FORK => Op::Fork(t, Tid::new(arg)),
-                    opcode::JOIN => Op::Join(t, Tid::new(arg)),
-                    opcode::VOLATILE_READ => Op::VolatileRead(t, VarId::new(arg)),
-                    opcode::VOLATILE_WRITE => Op::VolatileWrite(t, VarId::new(arg)),
-                    opcode::WAIT => Op::Wait(t, LockId::new(arg)),
-                    opcode::NOTIFY => Op::Notify(t, LockId::new(arg)),
-                    opcode::ATOMIC_BEGIN => Op::AtomicBegin(t),
-                    _ => Op::AtomicEnd(t),
-                }
+        loop {
+            if let Some(op) = self.dec.next_op()? {
+                return Ok(Some(op));
             }
-        }))
+            if !self.refill()? {
+                return Ok(None);
+            }
+        }
     }
 
     /// Decodes up to `max_events` events straight into `block`'s SoA lanes
@@ -411,22 +314,20 @@ impl<R: Read> FtbReader<R> {
         max_events: usize,
     ) -> Result<usize, FtbError> {
         block.clear();
-        while block.len() < max_events {
-            match self.next_rec()? {
-                None => break,
-                Some(Rec::Simple { kind, tid, arg }) => block.push_simple(kind, tid, arg),
-                Some(Rec::Barrier(members)) => block.push_barrier(members),
+        loop {
+            self.dec.decode_into(block, max_events)?;
+            if block.len() >= max_events || !self.refill()? {
+                return Ok(block.len());
             }
         }
-        Ok(block.len())
     }
 }
 
 impl<R: Read> fmt::Debug for FtbReader<R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FtbReader")
-            .field("header", &self.header)
-            .field("remaining", &self.remaining)
+            .field("header", self.header())
+            .field("eof", &self.eof)
             .finish_non_exhaustive()
     }
 }
@@ -502,6 +403,8 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::builder::TraceBuilder;
+    use crate::event::LockId;
+    use ft_clock::Tid;
 
     fn sample_trace() -> Trace {
         let (t0, t1) = (Tid::new(0), Tid::new(1));

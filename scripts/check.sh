@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> parallel engine agreement tests"
 cargo test -q --test parallel_agreement
