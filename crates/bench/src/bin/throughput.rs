@@ -22,7 +22,6 @@
 //!   shadow words, inline clocks);
 //! * `stream`    — `analyze_stream` decoding `.ftb` bytes block by block
 //!   (includes decode cost);
-//! * `parallel`  — the block-parallel engine at 2/4/8 shards;
 //! * `online`    — the buffered online monitor fed via `emit_raw`.
 //!
 //! Output: a table on stdout and `BENCH_throughput.json`, including the
@@ -38,12 +37,10 @@ use std::time::{Duration, Instant};
 use fasttrack::{Detector, FastTrack, FastTrackConfig, RecorderConfig};
 use ft_bench::{fmt1, HarnessOpts};
 use ft_obs::JsonWriter;
+use ft_runtime::analyze_stream;
 use ft_runtime::online::Monitor;
-use ft_runtime::{analyze_parallel, analyze_stream, ParallelConfig};
 use ft_trace::{FtbReader, Op, Trace};
 use ft_workloads::{build, BENCHMARKS};
-
-const PARALLEL_SHARDS: [usize; 3] = [2, 4, 8];
 
 // ---------------------------------------------------------------------------
 // Baseline: the pre-change hot path, kept verbatim-shaped so the speedup the
@@ -606,19 +603,6 @@ fn time_stream(bytes: &[u8], reps: u32) -> (Duration, u64) {
     (best, warnings)
 }
 
-fn time_parallel(trace: &Trace, shards: usize, reps: u32) -> (Duration, u64) {
-    let config = ParallelConfig::with_shards(shards);
-    let mut best = Duration::MAX;
-    let mut warnings = 0u64;
-    for _ in 0..reps.max(1) {
-        let started = Instant::now();
-        let report = analyze_parallel(trace, &config);
-        best = best.min(started.elapsed());
-        warnings = report.warnings.len() as u64;
-    }
-    (best, warnings)
-}
-
 fn time_online_buffered(trace: &Trace) -> (Duration, u64) {
     let monitor = Monitor::buffered(FastTrack::new());
     let started = Instant::now();
@@ -656,8 +640,8 @@ fn main() {
         opts.ops, opts.seed, threads
     );
     println!(
-        "{:<14} | {:>9} {:>9} {:>7} {:>9} | {:>9} {:>9} | {:>9} {:>9} {:>9}",
-        "Program", "baseline", "fused", "x", "recorder", "stream", "online", "W=2", "W=4", "W=8"
+        "{:<14} | {:>9} {:>9} {:>7} {:>9} | {:>9} {:>9}",
+        "Program", "baseline", "fused", "x", "recorder", "stream", "online"
     );
 
     let mut divergences = 0u64;
@@ -667,7 +651,6 @@ fn main() {
     let mut total_recorder = Duration::ZERO;
     let mut total_stream = Duration::ZERO;
     let mut total_online = Duration::ZERO;
-    let mut total_parallel = [Duration::ZERO; PARALLEL_SHARDS.len()];
 
     json.key("rows");
     json.begin_array();
@@ -681,10 +664,10 @@ fn main() {
         let (stream_d, stream_warn) = time_stream(&bytes, opts.reps);
         let (online_d, online_warn) = time_online_buffered(&trace);
 
-        let mut agrees = base_warn == fused_warn && stream_warn == fused_warn;
-        if online_warn != fused_warn || rec_warn != fused_warn {
-            agrees = false;
-        }
+        let agrees = base_warn == fused_warn
+            && stream_warn == fused_warn
+            && online_warn == fused_warn
+            && rec_warn == fused_warn;
 
         total_events += events;
         total_baseline += base_d;
@@ -705,22 +688,6 @@ fn main() {
         json.field_f64("recorder_mops", mops(events, rec_d));
         json.field_f64("stream_mops", mops(events, stream_d));
         json.field_f64("online_buffered_mops", mops(events, online_d));
-        json.key("parallel");
-        json.begin_array();
-        let mut par_cells = Vec::new();
-        for (i, &shards) in PARALLEL_SHARDS.iter().enumerate() {
-            let (par_d, par_warn) = time_parallel(&trace, shards, opts.reps);
-            if par_warn != fused_warn {
-                agrees = false;
-            }
-            total_parallel[i] += par_d;
-            json.begin_object();
-            json.field_u64("shards", shards as u64);
-            json.field_f64("mops", mops(events, par_d));
-            json.end_object();
-            par_cells.push(format!("{:>9}", fmt1(mops(events, par_d))));
-        }
-        json.end_array();
         if !agrees {
             divergences += 1;
         }
@@ -728,7 +695,7 @@ fn main() {
         json.end_object();
 
         println!(
-            "{:<14} | {:>9} {:>9} {:>7} {:>9} | {:>9} {:>9} | {}",
+            "{:<14} | {:>9} {:>9} {:>7} {:>9} | {:>9} {:>9}",
             bench.name,
             fmt1(mops(events, base_d)),
             fmt1(mops(events, fused_d)),
@@ -736,7 +703,6 @@ fn main() {
             fmt1(mops(events, rec_d)),
             fmt1(mops(events, stream_d)),
             fmt1(mops(events, online_d)),
-            par_cells.join(" "),
         );
     }
     json.end_array();
@@ -752,15 +718,6 @@ fn main() {
     json.field_f64("speedup_vs_baseline", agg_speedup);
     json.field_f64("stream_mops", mops(total_events, total_stream));
     json.field_f64("online_buffered_mops", mops(total_events, total_online));
-    json.key("parallel");
-    json.begin_array();
-    for (i, &shards) in PARALLEL_SHARDS.iter().enumerate() {
-        json.begin_object();
-        json.field_u64("shards", shards as u64);
-        json.field_f64("mops", mops(total_events, total_parallel[i]));
-        json.end_object();
-    }
-    json.end_array();
     json.field_bool("meets_1_5x", agg_speedup >= 1.5);
     json.end_object();
 

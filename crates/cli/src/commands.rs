@@ -6,9 +6,7 @@ use fasttrack::{
     Detector, Empty, FastTrack, FastTrackConfig, GuardConfig, RecorderConfig, TierProfile,
 };
 use ft_detectors::{BasicVc, Djit, Eraser, Goldilocks, MultiRace, RaceTrack};
-use ft_runtime::{
-    analyze_parallel, analyze_parallel_stream, analyze_stream, ParallelConfig, ParallelReport,
-};
+use ft_runtime::analyze_stream;
 use ft_sampler::{Sampler, SamplerConfig};
 use ft_trace::gen::{self, GenConfig};
 use ft_trace::{FtbReader, FtbWriter, ObjId, Trace, VarId};
@@ -289,57 +287,11 @@ fn trace_convert(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the parallel-engine configuration for a `--shards N` request,
-/// honouring the optional `--chunk EVENTS` granularity knob.
-fn parallel_config(
-    args: &Args,
-    shards: usize,
-    guard: Option<GuardConfig>,
-) -> Result<ParallelConfig, String> {
-    let defaults = ParallelConfig::default();
-    let chunk = args.get_num::<usize>("chunk", defaults.chunk)?;
-    if chunk == 0 {
-        return Err("--chunk must be at least 1".into());
-    }
-    Ok(ParallelConfig {
-        shards,
-        chunk,
-        detector: FastTrackConfig {
-            report_all: args.has_flag("all-warnings"),
-            guard,
-            ..FastTrackConfig::default()
-        },
-        ..defaults
-    })
-}
-
-/// Pretty-prints a parallel-engine outcome in the same shape as
-/// [`print_report`].
-fn print_parallel_report(report: &ParallelReport, verbose: bool) {
-    println!(
-        "{:<12} {} warning(s); {}; shadow {} bytes; {} shard(s)",
-        "FASTTRACK-P",
-        report.warnings.len(),
-        report.stats,
-        report.shadow_bytes,
-        report.shards
-    );
-    if verbose {
-        for w in &report.warnings {
-            println!("    {w}");
-        }
-        for rule in &report.rule_breakdown {
-            println!("    {rule}");
-        }
-    }
-}
-
 /// `ftrace analyze`.
 pub fn analyze(args: &Args) -> Result<(), String> {
     let path = args.positional(0).ok_or("analyze requires a trace file")?;
     maybe_enable_tracing(args)?;
     let tool_name = detector_name(args);
-    let shards = args.get_num::<usize>("shards", 1)?;
     let guard = guard_config(args)?;
     let ftb = match args.get("format") {
         None => crate::is_ftb_path(path),
@@ -351,24 +303,9 @@ pub fn analyze(args: &Args) -> Result<(), String> {
     // through the fused block loop — the trace is never materialized, so
     // files larger than RAM analyze in O(shadow state + one block).
     if ftb && tool_name.eq_ignore_ascii_case("FASTTRACK") {
-        return analyze_ftb_stream(path, args, shards, guard);
+        return analyze_ftb_stream(path, args, guard);
     }
     let trace = load_trace(path)?;
-    if shards > 1 {
-        if !tool_name.eq_ignore_ascii_case("FASTTRACK") {
-            return Err(format!(
-                "--shards applies only to FASTTRACK, not {tool_name:?}"
-            ));
-        }
-        let config = parallel_config(args, shards, guard)?;
-        let report = analyze_parallel(&trace, &config);
-        if !scrape_mode(args)? {
-            print_parallel_report(&report, true);
-            print_precision(&report.precision);
-        }
-        maybe_write_metrics(args, &report.metrics)?;
-        return Ok(());
-    }
     let mut tool = make_tool(
         tool_name,
         args.has_flag("all-warnings"),
@@ -384,29 +321,12 @@ pub fn analyze(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The `.ftb` streaming arm of [`analyze`]: sequential FASTTRACK uses
-/// [`analyze_stream`]'s fused block loop, `--shards N` feeds the parallel
-/// engine's coordinator directly from the decoder.
-fn analyze_ftb_stream(
-    path: &str,
-    args: &Args,
-    shards: usize,
-    guard: Option<GuardConfig>,
-) -> Result<(), String> {
+/// The `.ftb` streaming arm of [`analyze`]: FASTTRACK runs
+/// [`analyze_stream`]'s fused block loop straight off the decoder.
+fn analyze_ftb_stream(path: &str, args: &Args, guard: Option<GuardConfig>) -> Result<(), String> {
     let all_warnings = args.has_flag("all-warnings");
     let file = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
     let mut reader = FtbReader::new(file).map_err(|e| format!("parsing {path}: {e}"))?;
-    if shards > 1 {
-        let config = parallel_config(args, shards, guard)?;
-        let report = analyze_parallel_stream(&mut reader, &config)
-            .map_err(|e| format!("streaming {path}: {e}"))?;
-        if !scrape_mode(args)? {
-            print_parallel_report(&report, true);
-            print_precision(&report.precision);
-        }
-        maybe_write_metrics(args, &report.metrics)?;
-        return Ok(());
-    }
     let mut tool = FastTrack::with_config(FastTrackConfig {
         report_all: all_warnings,
         guard,
@@ -556,16 +476,7 @@ pub fn profile(args: &Args) -> Result<(), String> {
     ));
     let buffered_metrics = buffered_report.metrics.clone();
 
-    // 4. The block-parallel engine, if `--shards N` was given.
-    let shards = args.get_num::<usize>("shards", 0)?;
-    let parallel = if shards > 0 {
-        let config = parallel_config(args, shards, guard.clone())?;
-        Some(analyze_parallel(&trace, &config))
-    } else {
-        None
-    };
-
-    // 5. With `--tiers`: a fused whole-trace FASTTRACK pass with tier
+    // 4. With `--tiers`: a fused whole-trace FASTTRACK pass with tier
     // latency profiling on. The per-event loop above routes everything
     // through the governed tier by construction, so the tier breakdown
     // needs its own `run()` pass to exercise the inline fast paths.
@@ -614,15 +525,6 @@ pub fn profile(args: &Args) -> Result<(), String> {
             buffered_report.precision, buffered_report.dropped_events
         );
     }
-    if let Some(report) = &parallel {
-        println!(
-            "  parallel: {} shard(s), {} warning(s)",
-            report.shards,
-            report.warnings.len()
-        );
-        show("parallel", &report.metrics, "parallel.batch_ns");
-        print_precision(&report.precision);
-    }
     if let Some((tiers, tier_metrics)) = &tiered {
         print_tiers(tiers, tier_metrics);
     }
@@ -637,9 +539,6 @@ pub fn profile(args: &Args) -> Result<(), String> {
         ("online_direct", &direct_metrics),
         ("online_buffered", &buffered_metrics),
     ];
-    if let Some(report) = &parallel {
-        sections.push(("parallel", &report.metrics));
-    }
     if let Some((_, tier_metrics)) = &tiered {
         sections.push(("tiered", tier_metrics));
     }
@@ -705,17 +604,13 @@ fn print_tiers(tiers: &TierProfile, metrics: &ft_obs::Snapshot) {
 /// profiling on, then emit a self-contained JSON diagnostics bundle —
 /// trace shape, warnings with full provenance and the recent events of the
 /// involved threads, rule breakdown, tier profile, metrics snapshot, and
-/// the same metrics rendered as Prometheus text. With `--shards N` the
-/// block-parallel engine produces the warnings instead (identical
-/// provenance; the recorder is a sequential-engine feature, so `recent`
-/// stays empty).
+/// the same metrics rendered as Prometheus text.
 pub fn report(args: &Args) -> Result<(), String> {
     let path = args.positional(0).ok_or("report requires a trace file")?;
     maybe_enable_tracing(args)?;
     let trace = load_trace(path)?;
     let guard = guard_config(args)?;
     let all_warnings = args.has_flag("all-warnings");
-    let shards = args.get_num::<usize>("shards", 1)?;
     let capacity = args.get_num::<usize>("recorder", 32)?;
 
     let mut w = ft_obs::JsonWriter::new();
@@ -730,59 +625,38 @@ pub fn report(args: &Args) -> Result<(), String> {
     w.field_u64("locks", trace.n_locks() as u64);
     w.end_object();
 
-    let (warnings, rules, precision, tiers, metrics, tool_name) = if shards > 1 {
-        let config = parallel_config(args, shards, guard)?;
-        let report = analyze_parallel(&trace, &config);
-        w.field_u64("shards", shards as u64);
-        w.key("recorder");
-        w.null();
-        (
-            report.warnings,
-            report.rule_breakdown,
-            report.precision,
-            None,
-            report.metrics,
-            "FASTTRACK-P",
-        )
-    } else {
-        let mut tool = FastTrack::with_config(FastTrackConfig {
-            report_all: all_warnings,
-            guard,
-            recorder: Some(RecorderConfig { capacity }),
-            profile_tiers: true,
-            ..FastTrackConfig::default()
-        });
-        tool.run(&trace);
-        w.field_u64("shards", 1);
-        w.key("recorder");
-        let rec = tool.flight_recorder().expect("recorder configured");
-        w.begin_object();
-        w.field_u64("capacity", rec.capacity() as u64);
-        w.field_u64("threads", rec.threads() as u64);
-        w.field_u64("recorded", rec.recorded());
-        w.field_u64("bytes", rec.bytes() as u64);
-        w.end_object();
-        (
-            tool.warnings().to_vec(),
-            tool.rule_breakdown(),
-            tool.precision(),
-            Some(tool.tier_profile()),
-            tool.metrics(),
-            "FASTTRACK",
-        )
-    };
+    let mut tool = FastTrack::with_config(FastTrackConfig {
+        report_all: all_warnings,
+        guard,
+        recorder: Some(RecorderConfig { capacity }),
+        profile_tiers: true,
+        ..FastTrackConfig::default()
+    });
+    tool.run(&trace);
+    let warnings = tool.warnings();
+    let tiers = tool.tier_profile();
+    let metrics = tool.metrics();
+    let precision = tool.precision();
+    w.key("recorder");
+    let rec = tool.flight_recorder().expect("recorder configured");
+    w.begin_object();
+    w.field_u64("capacity", rec.capacity() as u64);
+    w.field_u64("threads", rec.threads() as u64);
+    w.field_u64("recorded", rec.recorded());
+    w.field_u64("bytes", rec.bytes() as u64);
+    w.end_object();
 
-    w.field_str("tool", tool_name);
+    w.field_str("tool", tool.name());
     w.field_str("precision", &precision.to_string());
     w.key("warnings");
     w.begin_array();
-    for warning in &warnings {
+    for warning in warnings {
         warning.write_json(&mut w);
     }
     w.end_array();
     w.key("rule_breakdown");
     w.begin_array();
-    for r in &rules {
+    for r in &tool.rule_breakdown() {
         w.begin_object();
         w.field_str("rule", r.rule);
         w.field_u64("hits", r.hits);
@@ -791,10 +665,7 @@ pub fn report(args: &Args) -> Result<(), String> {
     }
     w.end_array();
     w.key("tiers");
-    match &tiers {
-        Some(t) => write_tiers_json(&mut w, t),
-        None => w.null(),
-    }
+    write_tiers_json(&mut w, &tiers);
     w.key("metrics");
     metrics.write_json(&mut w);
     w.field_str("metrics_prom", &ft_obs::to_prometheus(&metrics, "ftrace"));
@@ -802,11 +673,12 @@ pub fn report(args: &Args) -> Result<(), String> {
     let json = w.finish();
 
     println!(
-        "{path}: {} events; {tool_name} {} warning(s)",
+        "{path}: {} events; {} {} warning(s)",
         trace.len(),
+        tool.name(),
         warnings.len()
     );
-    for warning in &warnings {
+    for warning in warnings {
         println!("    {warning}");
         if let Some(p) = &warning.provenance {
             println!("      {p}");
@@ -816,9 +688,7 @@ pub fn report(args: &Args) -> Result<(), String> {
             }
         }
     }
-    if let Some(t) = &tiers {
-        print_tiers(t, &metrics);
-    }
+    print_tiers(&tiers, &metrics);
     print_precision(&precision);
     match args.get("output") {
         Some(out) => {

@@ -36,13 +36,10 @@ USAGE:
   ftrace generate [--benchmark NAME | --random] [--ops N] [--seed N]
                   [--racy FRAC] -o FILE     generate a trace (FILE ending in
                                             .ftb writes the binary format)
-  ftrace analyze FILE [--detector NAME] [--all-warnings] [--shards N]
-                  [--chunk EVENTS] [--mem-budget BYTES] [--format json|ftb]
+  ftrace analyze FILE [--detector NAME] [--all-warnings]
+                  [--mem-budget BYTES] [--format json|ftb]
                   [--sample-budget K] [--sample-rate R] [--seed S]
-                  [--metrics OUT.json]      run one detector (with N > 1,
-                                            FASTTRACK runs on the block-parallel
-                                            engine, --chunk sizing its two-phase
-                                            fan-out; on .ftb input
+                  [--metrics OUT.json]      run one detector (on .ftb input
                                             FASTTRACK streams the file through
                                             the fused block loop instead of
                                             materializing it)
@@ -54,18 +51,16 @@ USAGE:
   ftrace compare FILE                       run every detector
   ftrace pipeline FILE [--filter NAME] [--checker NAME] [--metrics OUT.json]
                                             prefilter + downstream checker
-  ftrace profile FILE [--detector NAME] [--shards N] [--chunk EVENTS]
-                  [--metrics OUT.json]
+  ftrace profile FILE [--detector NAME] [--metrics OUT.json]
                   [--mem-budget BYTES] [--faults SEED:SPEC] [--tiers]
                                             full observability run: detector
                                             rule percentages, per-stage
-                                            latency quantiles, online-monitor
-                                            overhead, and (with --shards) the
-                                            parallel engine's batch metrics;
-                                            --tiers adds a fused-loop pass
-                                            with per-tier hit/latency counters
-  ftrace report FILE [--recorder K] [--shards N] [--chunk EVENTS]
-                  [--all-warnings] [--mem-budget BYTES] [-o BUNDLE.json]
+                                            latency quantiles and online-monitor
+                                            overhead; --tiers adds a fused-loop
+                                            pass with per-tier hit/latency
+                                            counters
+  ftrace report FILE [--recorder K] [--all-warnings]
+                  [--mem-budget BYTES] [-o BUNDLE.json]
                                             self-contained JSON diagnostics
                                             bundle: warnings with Figure 5
                                             provenance, each involved thread's

@@ -42,12 +42,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod cow;
 mod epoch;
 mod recycle;
 mod vc;
 
-pub use cow::CowClock;
 pub use epoch::{Epoch, Epoch64, EpochOverflowError, MAX_CLOCK, MAX_CLOCK64, MAX_TID, MAX_TID64};
 pub use recycle::{TidRecycler, VcPool};
 pub use vc::VectorClock;

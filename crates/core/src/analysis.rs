@@ -22,7 +22,7 @@ use std::time::Instant;
 /// Free clocks the detector keeps around for `Rvc` reuse (the inflate /
 /// collapse cycle of `[FT READ SHARE]` / `[FT WRITE SHARED]` rarely has
 /// many variables in read-shared mode simultaneously).
-pub(crate) const RVC_POOL_CAP: usize = 32;
+const RVC_POOL_CAP: usize = 32;
 
 /// Which representation currently holds a variable's read history.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -444,8 +444,8 @@ impl FastTrack {
     /// path.
     ///
     /// The transition itself lives in [`rules::read_var`], shared with the
-    /// parallel engine's shards; this wrapper only resolves the shadow
-    /// state and turns the outcome into warnings.
+    /// sampler; this wrapper only resolves the shadow state and turns the
+    /// outcome into warnings.
     // Outlined so the fused `run`/`on_block` loops stay small enough to sit
     // in the µop cache; the same-epoch fast path never enters here.
     #[inline(never)]

@@ -97,7 +97,7 @@ impl fmt::Display for GuardTier {
 /// All counters are zero iff the ladder never engaged.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DegradationRecord {
-    /// The configured budget in bytes (summed across shards when folded).
+    /// The configured budget in bytes.
     pub budget_bytes: usize,
     /// High-water mark of accounted shadow bytes.
     pub peak_bytes: usize,
@@ -117,18 +117,6 @@ impl DegradationRecord {
     /// `true` if any ladder step was ever taken.
     pub fn is_degraded(&self) -> bool {
         self.rvc_evictions > 0 || self.sampled_out > 0 || self.pool_clocks_dropped > 0
-    }
-
-    /// Folds another record into this one (shard merge): counters add,
-    /// budgets add (each shard owns a slice of the total), peaks add (the
-    /// shards hold disjoint state, so the sum bounds the true peak).
-    pub fn merge(&mut self, other: &DegradationRecord) {
-        self.budget_bytes += other.budget_bytes;
-        self.peak_bytes += other.peak_bytes;
-        self.rvc_evictions += other.rvc_evictions;
-        self.imprecise_vars += other.imprecise_vars;
-        self.sampled_out += other.sampled_out;
-        self.pool_clocks_dropped += other.pool_clocks_dropped;
     }
 }
 
@@ -173,17 +161,6 @@ impl Precision {
             Precision::Degraded(r) => Some(r),
         }
     }
-
-    /// Folds another precision in (shard merge): any degraded input makes
-    /// the whole result degraded.
-    pub fn merge(&mut self, other: &Precision) {
-        if let Some(theirs) = other.record() {
-            match self {
-                Precision::Degraded(mine) => mine.merge(theirs),
-                Precision::Full => *self = Precision::Degraded(theirs.clone()),
-            }
-        }
-    }
 }
 
 impl fmt::Display for Precision {
@@ -198,10 +175,9 @@ impl fmt::Display for Precision {
 /// Byte-accurate accounting of detector shadow state: per-variable epochs,
 /// read vector clocks, and recycle-pool retention.
 ///
-/// The budget is advisory bookkeeping — *callers* (the sequential detector
-/// and the per-shard partitions) charge and credit it as their storage
-/// grows and shrinks, and consult [`ShadowBudget::over`] to drive the
-/// degradation ladder.
+/// The budget is advisory bookkeeping — *callers* (the detector) charge and
+/// credit it as their storage grows and shrinks, and consult
+/// [`ShadowBudget::over`] to drive the degradation ladder.
 #[derive(Clone, Debug, Default)]
 pub struct ShadowBudget {
     limit: usize,
@@ -287,7 +263,7 @@ struct LruEntry {
 /// The per-detector guard state: budget, eviction LRU, sampling PRNG, and
 /// the running [`DegradationRecord`].
 ///
-/// Internal to the detector/shard implementations; the public surface is
+/// Internal to the detector; the public surface is
 /// [`GuardConfig`] in, [`Precision`] out.
 #[derive(Clone, Debug)]
 pub(crate) struct Guard {
@@ -523,23 +499,6 @@ mod tests {
         let a = run();
         assert_eq!(a, run());
         assert!(a.iter().any(|&x| x) && a.iter().any(|&x| !x));
-    }
-
-    #[test]
-    fn precision_merge_folds_records() {
-        let mut p = Precision::Full;
-        p.merge(&Precision::Full);
-        assert_eq!(p, Precision::Full);
-        let degraded = Precision::Degraded(DegradationRecord {
-            budget_bytes: 10,
-            rvc_evictions: 2,
-            ..DegradationRecord::default()
-        });
-        p.merge(&degraded);
-        p.merge(&degraded);
-        let r = p.record().unwrap();
-        assert_eq!(r.budget_bytes, 20);
-        assert_eq!(r.rvc_evictions, 4);
     }
 
     #[test]

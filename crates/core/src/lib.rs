@@ -45,9 +45,8 @@
 //! * [`Empty`] — the do-nothing detector used to measure framework overhead
 //!   (the paper's EMPTY tool).
 //! * [`rules`] — the Figure 5 transition rules over one variable, shared by
-//!   the sequential detector, the parallel shards, and the `ft-sampler`
-//!   sampling tier (which replays sampled access pairs through the exact
-//!   same code).
+//!   the detector and the `ft-sampler` sampling tier (which replays sampled
+//!   access pairs through the exact same code).
 //! * [`guard`] — `ft-guard`: byte-accurate shadow-state budgets and the
 //!   graceful degradation ladder (full → Rvc eviction → sampling), surfaced
 //!   as a [`Precision`] verdict on every report.
@@ -61,7 +60,6 @@ mod empty;
 pub mod flight;
 pub mod guard;
 pub mod rules;
-pub mod shard;
 mod state;
 mod stats;
 mod warning;

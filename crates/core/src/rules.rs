@@ -1,11 +1,8 @@
 //! The `[FT READ *]` / `[FT WRITE *]` transition rules over one variable.
 //!
-//! Both the sequential [`FastTrack`](crate::FastTrack) detector and the
-//! per-shard state of the parallel engine ([`crate::shard::VarShard`]) apply
-//! *exactly this code* to a variable's shadow state — that shared
-//! implementation is what makes the parallel ≡ sequential equivalence
-//! argument a structural one rather than a testing hope: for a given
-//! `(VarState, thread clock)` input, both engines take the same transition
+//! Both the [`FastTrack`](crate::FastTrack) detector and the `ft-sampler`
+//! sampling tier apply *exactly this code* to a variable's shadow state: for
+//! a given `(VarState, thread clock)` input, both take the same transition
 //! and report the same races.
 //!
 //! The functions here deliberately know nothing about how the caller stores
@@ -294,7 +291,7 @@ pub fn write_var(
 }
 
 /// Per-rule hit counters (the Figure 2/5 frequency annotations), shared by
-/// the sequential detector and the parallel shards.
+/// the detector and the sampler.
 #[derive(Clone, Debug, Default)]
 pub struct RuleHits {
     read_same_epoch: u64,
@@ -341,17 +338,6 @@ impl RuleHits {
         self.read_exclusive += ex_reads;
         self.write_same_epoch += se_writes;
         self.write_exclusive += ex_writes;
-    }
-
-    /// Adds `other`'s hit counts into `self` (folding per-shard counters).
-    pub fn merge(&mut self, other: &RuleHits) {
-        self.read_same_epoch += other.read_same_epoch;
-        self.read_shared += other.read_shared;
-        self.read_exclusive += other.read_exclusive;
-        self.read_share += other.read_share;
-        self.write_same_epoch += other.write_same_epoch;
-        self.write_exclusive += other.write_exclusive;
-        self.write_shared += other.write_shared;
     }
 
     /// The Figure 2-style rule breakdown given the read/write totals.

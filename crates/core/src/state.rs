@@ -111,8 +111,7 @@ impl ThreadState {
 ///
 /// `version` is a monotonic stamp bumped on every mutation of `vc`; a
 /// thread that recorded the current version has already joined this exact
-/// clock, which gives a second (one-load) skip and lets the parallel
-/// engine's coordinator know when a published view is still valid.
+/// clock, which gives a second (one-load) skip.
 #[derive(Clone, Debug)]
 pub struct LockClock {
     /// The lock's vector clock `L_m`.

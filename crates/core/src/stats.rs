@@ -53,21 +53,6 @@ impl Stats {
         Self::default()
     }
 
-    /// Adds `other`'s counters into `self` — used to fold per-shard partial
-    /// statistics into a whole-trace total.
-    pub fn merge(&mut self, other: &Stats) {
-        self.ops += other.ops;
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.sync_ops += other.sync_ops;
-        self.vc_allocated += other.vc_allocated;
-        self.vc_ops += other.vc_ops;
-        self.vc_recycled += other.vc_recycled;
-        self.vc_reused += other.vc_reused;
-        self.sync_fastpath_hits += other.sync_fastpath_hits;
-        self.sync_slow_joins += other.sync_slow_joins;
-    }
-
     /// Fraction of classified synchronization joins answered by an O(1)
     /// fast path, in `[0, 1]`. `None` until at least one join was
     /// classified (sync-free traces have no meaningful rate).
@@ -150,28 +135,6 @@ mod tests {
         let r = RuleCount::of("FT READ SAME EPOCH", 634, 1000);
         assert!((r.percent - 63.4).abs() < 1e-9);
         assert_eq!(RuleCount::of("X", 5, 0).percent, 0.0);
-    }
-
-    #[test]
-    fn merge_adds_every_counter() {
-        let mut a = Stats {
-            ops: 1,
-            reads: 2,
-            writes: 3,
-            sync_ops: 4,
-            vc_allocated: 5,
-            vc_ops: 6,
-            vc_recycled: 7,
-            vc_reused: 8,
-            sync_fastpath_hits: 9,
-            sync_slow_joins: 10,
-        };
-        a.merge(&a.clone());
-        assert_eq!(a.ops, 2);
-        assert_eq!(a.vc_reused, 16);
-        assert_eq!(a.vc_recycled, 14);
-        assert_eq!(a.sync_fastpath_hits, 18);
-        assert_eq!(a.sync_slow_joins, 20);
     }
 
     #[test]

@@ -96,11 +96,11 @@ impl fmt::Display for ReadHistory {
 /// The evidence behind a race warning: which Figure 5 rule fired, the
 /// conflicting epochs, and the analysis state at the moment of detection.
 ///
-/// Every FastTrack engine — the sequential fused loop, the streamed `.ftb`
-/// path, and the block-parallel engine — populates this identically
-/// (the parallel ≡ sequential agreement tests compare warnings wholesale,
-/// provenance included). Downstream lockset/baseline detectors, which have
-/// no epoch evidence, leave [`Warning::provenance`] as `None`.
+/// Every FastTrack path — the in-memory fused loop and the streamed `.ftb`
+/// path — populates this identically (the stream agreement tests compare
+/// warnings wholesale, provenance included). Downstream lockset/baseline
+/// detectors, which have no epoch evidence, leave [`Warning::provenance`]
+/// as `None`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Provenance {
     /// The exact Figure 5 rule that detected the race, matching the labels

@@ -23,21 +23,15 @@
 //! * [`online`] — real-thread monitoring: instrumented mutexes, tracked
 //!   variables, and a spawn/join wrapper that feed any detector live from
 //!   actual `std::thread` threads.
-//! * [`parallel`] — the block-parallel analysis engine: one
-//!   coordinator applying synchronization events in trace order plus `W`
-//!   variable shards running the shared FastTrack rules, producing results
-//!   identical to the sequential detector.
-//! * [`stream`] — streaming `.ftb` analysis: both the sequential detector
-//!   ([`analyze_stream`]) and the parallel engine
-//!   ([`analyze_parallel_stream`]) can consume a binary trace stream block
-//!   by block, so traces larger than RAM analyze in bounded memory.
+//! * [`stream`] — streaming `.ftb` analysis: [`analyze_stream`] feeds a
+//!   binary trace stream to a detector block by block, so traces larger
+//!   than RAM analyze in bounded memory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod granularity;
 pub mod online;
-pub mod parallel;
 mod pipeline;
 mod recorder;
 mod reentrant;
@@ -46,7 +40,6 @@ pub mod stream;
 mod tl_filter;
 
 pub use granularity::coarsen;
-pub use parallel::{analyze_parallel, analyze_parallel_stream, ParallelConfig, ParallelReport};
 pub use pipeline::{run_pipeline, Pipeline, StageReport};
 pub use recorder::{Recorder, RecorderHandle};
 pub use reentrant::ReentrancyFilter;

@@ -1,13 +1,11 @@
-//! Streaming sequential analysis of `.ftb` traces.
+//! Streaming analysis of `.ftb` traces.
 //!
-//! [`analyze_stream`] is the sequential counterpart of
-//! [`analyze_parallel_stream`](crate::analyze_parallel_stream): it decodes a
-//! `.ftb` record stream in blocks of [`DEFAULT_BLOCK_EVENTS`] into a reused
-//! [`EventBlock`] and hands each block to the detector's fused
-//! [`Detector::on_block`] entry point. The trace is never materialized as a
-//! `Vec<Op>`, so memory stays `O(shadow state + one block)` regardless of
-//! trace length, and per-event virtual dispatch is replaced by one
-//! `on_block` call per ~4K events.
+//! [`analyze_stream`] decodes a `.ftb` record stream in blocks of
+//! [`DEFAULT_BLOCK_EVENTS`] into a reused [`EventBlock`] and hands each
+//! block to the detector's fused [`Detector::on_block`] entry point. The
+//! trace is never materialized as a `Vec<Op>`, so memory stays
+//! `O(shadow state + one block)` regardless of trace length, and per-event
+//! virtual dispatch is replaced by one `on_block` call per ~4K events.
 
 use fasttrack::Detector;
 use ft_trace::{EventBlock, FtbError, FtbReader, DEFAULT_BLOCK_EVENTS};

@@ -13,7 +13,7 @@
 //!   is precise;
 //! * replays each admitted access against the variable's stored samples
 //!   through the *real* Figure 5 transition rules ([`fasttrack::rules`]) —
-//!   the same code the sequential detector and the parallel shards run;
+//!   the same code the FastTrack detector runs;
 //! * is **sound but incomplete**: it may miss races the budget or the
 //!   admission rate skipped, but every warning it reports is a genuine
 //!   concurrent conflicting pair, so full FastTrack also warns on that

@@ -39,6 +39,11 @@ impl Client {
     /// Connects to a daemon at `addr` (e.g. `127.0.0.1:7199`).
     pub fn connect(addr: &str) -> Result<Client, String> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
+        // Frames are flushed whole; Nagle would only hold a frame's tail
+        // back until the peer's delayed ACK (~40 ms).
+        stream
+            .set_nodelay(true)
+            .map_err(|e| format!("setting TCP_NODELAY: {e}"))?;
         let reader = BufReader::new(
             stream
                 .try_clone()

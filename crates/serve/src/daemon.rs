@@ -154,6 +154,9 @@ fn handle_conn(
     shutdown: &AtomicBool,
     self_addr: Option<SocketAddr>,
 ) -> std::io::Result<()> {
+    // Every frame is flushed whole, so Nagle can only delay a report frame
+    // until the client's delayed ACK, never merge two.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     // At most one open session per connection.

@@ -292,3 +292,33 @@ fn overflow_policies_shed_or_stall_as_configured() {
     shedding.stop();
     shedding.join();
 }
+
+/// A session's report arrives without a Nagle/delayed-ACK stall. With
+/// Nagle on, a small frame written while an earlier segment is unacked
+/// waits for the peer's delayed ACK (~40 ms): the client's CLOSE behind
+/// its last DATA segment, and the tail of a REPORT frame larger than the
+/// daemon's 8 KiB write buffer behind its header. The 500-op upload hits
+/// the first case and the 8k-op upload, with every warning reported,
+/// also hits the second; the best of five must stay well under 40 ms.
+#[test]
+fn report_arrives_without_a_nagle_stall() {
+    let daemon = start_daemon(ServeConfig {
+        report_all: true,
+        ..ServeConfig::default()
+    });
+    let addr = daemon.addr().to_string();
+    for (ops, min_report_bytes) in [(500, 0), (8_000, 8 << 10)] {
+        let bytes = ftb_bytes(&racy_trace(ops, 42));
+        let reports: Vec<_> = (0..5)
+            .map(|_| upload(&addr, "t", &bytes, 8 << 10).unwrap())
+            .collect();
+        assert!(reports[0].json.len() > min_report_bytes, "{ops} ops");
+        let best = reports.iter().map(|r| r.report_latency).min().unwrap();
+        assert!(
+            best < std::time::Duration::from_millis(20),
+            "{ops} ops: best close->report latency {best:?} over 5 uploads"
+        );
+    }
+    daemon.stop();
+    daemon.join();
+}

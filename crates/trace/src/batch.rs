@@ -54,28 +54,11 @@ pub mod opcode {
     /// Never appears in an [`EventBlock`](super::EventBlock).
     pub const BARRIER_CONT: u8 = 13;
 
-    /// Returns `true` for data accesses (`rd`/`wr`) — the events a
-    /// block-parallel coordinator routes to variable shards. Mirrors
+    /// Returns `true` for data accesses (`rd`/`wr`). Mirrors
     /// [`Op::is_access`](crate::Op::is_access) on the raw kind byte.
     #[inline]
     pub fn is_access(kind: u8) -> bool {
         kind <= WRITE
-    }
-
-    /// Returns `true` for the no-happens-before-effect markers (`notify`,
-    /// atomic begin/end) that advance the trace position but touch no
-    /// clock.
-    #[inline]
-    pub fn is_marker(kind: u8) -> bool {
-        matches!(kind, NOTIFY | ATOMIC_BEGIN | ATOMIC_END)
-    }
-
-    /// Returns `true` for synchronization operations — everything that
-    /// mutates thread/lock/volatile clocks. Mirrors
-    /// [`Op::is_sync`](crate::Op::is_sync) on the raw kind byte.
-    #[inline]
-    pub fn is_sync(kind: u8) -> bool {
-        !is_access(kind) && !is_marker(kind) && kind != BARRIER_CONT
     }
 }
 
@@ -314,18 +297,12 @@ mod tests {
     }
 
     #[test]
-    fn opcode_classes_partition_every_kind() {
+    fn opcode_is_access_mirrors_op() {
         let ops = sample_ops();
         let block = block_of(&ops);
         for (i, op) in ops.iter().enumerate() {
             let k = block.kind(i);
             assert_eq!(opcode::is_access(k), op.is_access(), "{op}");
-            assert_eq!(opcode::is_sync(k), op.is_sync(), "{op}");
-            assert_eq!(
-                opcode::is_marker(k),
-                !op.is_access() && !op.is_sync(),
-                "{op}"
-            );
         }
     }
 

@@ -10,9 +10,6 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> parallel engine agreement tests"
-cargo test -q --test parallel_agreement
-
 echo "==> ftb round-trip + streamed-analysis agreement tests"
 cargo test -q --test stream_agreement
 cargo test -q -p ft-clock --test inline_heap_agreement
@@ -33,7 +30,7 @@ trap 'rm -rf "$tmp"' EXIT
 cargo run --release -q -p ft-cli -- \
     generate --benchmark moldyn --ops 5000 -o "$tmp/moldyn.ftrace"
 cargo run --release -q -p ft-cli -- \
-    profile "$tmp/moldyn.ftrace" --shards 2 --metrics "$tmp/out.json"
+    profile "$tmp/moldyn.ftrace" --metrics "$tmp/out.json"
 python3 - "$tmp/out.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -45,8 +42,6 @@ assert "online.emit_ns" in doc["online_direct"]["histograms"], \
     "missing online overhead stats"
 assert "online.queue_lag_ns" in doc["online_buffered"]["histograms"], \
     "missing buffered queue stats"
-assert "parallel.batch_ns" in doc["parallel"]["histograms"], \
-    "missing parallel engine batch stats"
 print("profile smoke OK:", sys.argv[1])
 EOF
 
@@ -127,32 +122,6 @@ assert "enabled_overhead_pct" in rec and "disabled_within_2pct" in rec, \
     "recorder overhead fields missing"
 print("throughput smoke OK: %.2fx vs baseline, recorder overhead %+.1f%%"
       % (agg["speedup_vs_baseline"], rec["enabled_overhead_pct"]))
-EOF
-
-echo "==> parallel engine smoke (2 shards, agreement sweep + speedup gate)"
-cargo run --release -q -p ft-bench --bin parallel -- --ops=20000 --reps=1
-python3 - BENCH_parallel.json <<'EOF'
-import json
-doc = json.load(open("BENCH_parallel.json"))
-assert doc["divergences"] == 0, "parallel engine diverged from sequential"
-assert doc["traces_checked"] >= 16, "agreement sweep did not cover the benchmarks"
-# Speedup gate: on a multi-core host, 2 shards must beat sequential on
-# average; a single-core host cannot show wall-clock speedup (coordinator
-# and workers serialize), so the bench marks the gate skipped there.
-gate = doc["speedup_gate"]
-cores = doc["available_parallelism"]
-w2 = doc["mean_speedup"]["w2"]
-if gate == "skipped_single_core":
-    assert cores < 2, "gate skipped on a multi-core host"
-    print("parallel speedup gate SKIPPED (available_parallelism=%d, "
-          "mean w2 speedup %.2fx informational)" % (cores, w2))
-else:
-    assert gate == "passed", \
-        "2-shard engine slower than sequential on a %d-core host " \
-        "(mean speedup %.2fx)" % (cores, w2)
-    print("parallel speedup gate OK: %.2fx at 2 shards on %d cores"
-          % (w2, cores))
-print("parallel smoke OK:", doc["traces_checked"], "benchmarks, 0 divergences")
 EOF
 
 echo "==> serve smoke (multi-tenant daemon: two concurrent clients, metrics, SIGTERM)"

@@ -10,8 +10,6 @@
 //!   ungoverned detector's, and whenever the budget actually bit (peak
 //!   usage above the limit) the run carries a non-empty degradation
 //!   record — degradation is loud, never silent;
-//! * the same subset property holds for the block-parallel engine
-//!   with a guarded per-shard configuration;
 //! * the online monitor under injected faults (lane overflow + analysis
 //!   panic) terminates and accounts for every event it did not analyze.
 
@@ -20,7 +18,6 @@ use std::collections::BTreeSet;
 use fasttrack_suite::clock::Tid;
 use fasttrack_suite::core::{Detector, FastTrack, FastTrackConfig, GuardConfig, Precision};
 use fasttrack_suite::runtime::online::{FaultPlan, Monitor, MonitorConfig};
-use fasttrack_suite::runtime::{analyze_parallel, ParallelConfig};
 use fasttrack_suite::trace::gen::{self, GenConfig};
 use fasttrack_suite::trace::{Op, Trace, VarId};
 
@@ -107,33 +104,6 @@ fn finite_budget_warnings_are_a_sound_subset() {
         degraded_runs > 0,
         "the sweep never actually degraded; budgets are too generous to test anything"
     );
-}
-
-/// The parallel engine under a guarded configuration keeps the same
-/// subset property, and its merged precision reflects the shards' records.
-#[test]
-fn parallel_guarded_warnings_are_a_subset() {
-    for trace in racy_traces(20) {
-        let base_vars = warning_vars(&ungoverned(&trace));
-        for shards in [2usize, 4] {
-            let config = ParallelConfig {
-                shards,
-                detector: FastTrackConfig {
-                    guard: Some(GuardConfig::with_budget(1024)),
-                    ..FastTrackConfig::default()
-                },
-                ..ParallelConfig::default()
-            };
-            let report = analyze_parallel(&trace, &config);
-            let par_vars: BTreeSet<VarId> = report.warnings.iter().map(|w| w.var).collect();
-            assert!(
-                par_vars.is_subset(&base_vars),
-                "{shards} shard(s): fabricated warnings {:?} vs {:?}",
-                par_vars,
-                base_vars
-            );
-        }
-    }
 }
 
 /// Fault-injection smoke: a tiny overflowing lane plus an injected

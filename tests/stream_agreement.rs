@@ -7,13 +7,12 @@
 //! 1. **Round-trip**: `encode → decode → encode` is bit-identical, and the
 //!    decoded trace carries the same events and id-space metadata.
 //! 2. **Stream ≡ vec**: feeding a detector block-by-block from the byte
-//!    stream ([`ft_runtime::analyze_stream`], and the parallel engine via
-//!    [`ft_runtime::analyze_parallel_stream`]) is observably identical to
+//!    stream ([`ft_runtime::analyze_stream`]) is observably identical to
 //!    materializing `Vec<Op>` and calling [`Detector::run`] — same
 //!    warnings, same statistics, same rule breakdown.
 
 use fasttrack::{Detector, FastTrack};
-use ft_runtime::{analyze_parallel, analyze_parallel_stream, analyze_stream, ParallelConfig};
+use ft_runtime::analyze_stream;
 use ft_trace::gen::{self, GenConfig};
 use ft_trace::{FtbReader, Trace, VarId};
 use ft_workloads::Scale;
@@ -78,29 +77,6 @@ fn streamed_analysis_equals_in_memory_analysis() {
             assert_eq!(
                 streamed.rule_breakdown(),
                 in_memory.rule_breakdown(),
-                "{ctx}: rules"
-            );
-        }
-    }
-}
-
-#[test]
-fn streamed_parallel_engine_equals_in_memory_parallel_engine() {
-    for seed in 0..3 {
-        for (k, trace) in trace_zoo(seed).into_iter().enumerate() {
-            let ctx = format!("seed {seed} trace {k}");
-            let config = ParallelConfig::with_shards(3);
-
-            let in_memory = analyze_parallel(&trace, &config);
-
-            let bytes = trace.to_ftb().expect("encodable");
-            let mut reader = FtbReader::new(&bytes[..]).expect("valid header");
-            let streamed = analyze_parallel_stream(&mut reader, &config).expect("valid stream");
-
-            assert_eq!(streamed.warnings, in_memory.warnings, "{ctx}: warnings");
-            assert_eq!(streamed.stats, in_memory.stats, "{ctx}: stats");
-            assert_eq!(
-                streamed.rule_breakdown, in_memory.rule_breakdown,
                 "{ctx}: rules"
             );
         }

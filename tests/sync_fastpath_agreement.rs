@@ -10,9 +10,6 @@
 //!
 //! * sequential `FastTrack` with the fast lane on vs. `ablate_sync_fastpath`
 //!   (full Figure 5 joins at every acquire/release/volatile/barrier);
-//! * `analyze_parallel` at {1, 2, 4, 8} shards vs. the fused sequential
-//!   engine (shards carry their own copy of the fast lane in `SyncClocks`,
-//!   and the stats must match counter for counter);
 //! * the sampler's lazy sync summary vs. its eager per-release clock copy.
 //!
 //! The suite also asserts the fast lane actually fires: a population this
@@ -20,7 +17,6 @@
 //! disabled, which the equality checks alone would never catch.
 
 use fasttrack_suite::core::{Detector, FastTrack, FastTrackConfig};
-use fasttrack_suite::runtime::{analyze_parallel, ParallelConfig};
 use fasttrack_suite::trace::gen::{self, GenConfig};
 use fasttrack_suite::trace::Trace;
 use ft_sampler::{Sampler, SamplerConfig};
@@ -117,39 +113,6 @@ fn fused_matches_ablated_on_sync_dense_population() {
          {hits} hits / {slow} slow joins ({:.1}%)",
         rate * 100.0
     );
-}
-
-/// ~100 sync-dense traces through the parallel engine at every shard
-/// width: warnings, rule breakdown, and the *full* stats block (including
-/// the fast-lane counters, which `SyncClocks` maintains independently)
-/// must reproduce the fused sequential engine. `vc_reused` is zeroed on
-/// both sides — per-shard read-clock pools recycle in a different
-/// interleaving (see `parallel_agreement.rs`).
-#[test]
-fn parallel_shards_reproduce_fused_engine_on_sync_dense_traces() {
-    for seed in 0..50u64 {
-        for (shape, trace) in [
-            ("dense", gen::generate(&sync_dense(6, 0.08), 40_000 + seed)),
-            ("chaos", gen::chaotic(8, 20, 5, 700, 50_000 + seed)),
-        ] {
-            let seq = run_fasttrack(&trace, false);
-            let mut seq_stats = seq.stats().clone();
-            seq_stats.vc_reused = 0;
-            for shards in [1usize, 2, 4, 8] {
-                let report = analyze_parallel(&trace, &ParallelConfig::with_shards(shards));
-                let label = format!("{shape} seed {seed} shards {shards}");
-                assert_eq!(report.warnings, seq.warnings(), "{label}: warnings");
-                assert_eq!(
-                    report.rule_breakdown,
-                    seq.rule_breakdown(),
-                    "{label}: rule breakdown"
-                );
-                let mut par_stats = report.stats.clone();
-                par_stats.vc_reused = 0;
-                assert_eq!(par_stats, seq_stats, "{label}: stats (incl. fast-lane)");
-            }
-        }
-    }
 }
 
 /// ~200 sync-dense traces pinning the sampler's lazy epoch-only sync
