@@ -27,7 +27,6 @@ const VARIANTS: &[(&str, FastTrackConfig)] = &[
             report_all: false,
             ablate_same_epoch: false,
             ablate_adaptive_read: false,
-            ablate_sync_fastpath: false,
             guard: None,
             recorder: None,
             profile_tiers: false,
@@ -39,7 +38,6 @@ const VARIANTS: &[(&str, FastTrackConfig)] = &[
             report_all: false,
             ablate_same_epoch: true,
             ablate_adaptive_read: false,
-            ablate_sync_fastpath: false,
             guard: None,
             recorder: None,
             profile_tiers: false,
@@ -51,7 +49,6 @@ const VARIANTS: &[(&str, FastTrackConfig)] = &[
             report_all: false,
             ablate_same_epoch: false,
             ablate_adaptive_read: true,
-            ablate_sync_fastpath: false,
             guard: None,
             recorder: None,
             profile_tiers: false,
@@ -63,7 +60,6 @@ const VARIANTS: &[(&str, FastTrackConfig)] = &[
             report_all: false,
             ablate_same_epoch: true,
             ablate_adaptive_read: true,
-            ablate_sync_fastpath: false,
             guard: None,
             recorder: None,
             profile_tiers: false,

@@ -1,5 +1,6 @@
 //! Benchmarks the sync-path fast lane: O(1) acquire/release epochs,
-//! versioned lock clocks, and the sampler's epoch-only sync summary.
+//! versioned lock clocks and the barrier epoch rebuild, shared by FastTrack
+//! and the sampler through `fasttrack::sync`.
 //!
 //! ```text
 //! cargo run --release -p ft-bench --bin sync [-- --ops=200000 --seed=42]
@@ -9,26 +10,29 @@
 //!
 //! 1. **Sync-dense sweep** — synthetic workloads whose event mix is
 //!    dominated by synchronization (lock ping-pong, barrier phases, a
-//!    fork/join tree, volatile fan-out). Full FastTrack with the fast lane
-//!    is timed against the same engine with `ablate_sync_fastpath` (the
-//!    pre-fast-lane behaviour: clone-and-join on every acquire and
-//!    volatile read, a fresh scratch clock per barrier). Reported per
-//!    workload: ns per sync op for both engines, the fast-path hit rate,
-//!    and the speedup. Warnings must agree **bit-identically** (order,
-//!    provenance, everything) or the run fails.
+//!    fork/join tree, volatile fan-out). Reported per workload: FastTrack's
+//!    ns per sync op and its fast-path hit rate.
 //!
 //! 2. **Floor benchmarks** — the five sync-heaviest Table 1 programs
 //!    (tsp, elevator, philo, hedc, jbb), which set the sampler's floor:
 //!    its overhead there is sync bookkeeping, not admissions. The sampler
-//!    is timed in lazy (epoch-only summary, the default) and eager
-//!    (per-release clock copy) modes against the EMPTY dispatch baseline;
-//!    the JSON records how many of the five now fit the sampler's
-//!    overhead envelope.
+//!    is timed against the EMPTY dispatch baseline; the JSON records how
+//!    many of the five fit the sampler's overhead envelope.
+//!
+//! On every trace FastTrack must warn on exactly the variables DJIT+ warns
+//! on (the paper's "exactly the same race conditions" check, against full
+//! vector-clock joins at every sync op), and the sampler only on variables
+//! FastTrack warns on. Any divergence fails the run.
+//!
+//! The fast lane's last comparison against the pre-fast-lane engine and
+//! the sampler's former lazy sync summary is kept in
+//! `results/BENCH_sync.json`.
 
 use std::time::{Duration, Instant};
 
-use fasttrack::{Detector, FastTrack, FastTrackConfig};
+use fasttrack::{Detector, FastTrack};
 use ft_bench::{fmt1, time_tool, HarnessOpts};
+use ft_detectors::Djit;
 use ft_obs::JsonWriter;
 use ft_sampler::{Sampler, SamplerConfig};
 use ft_trace::{LockId, Op, Tid, Trace, TraceBuilder, VarId};
@@ -135,13 +139,13 @@ fn sync_op_count(trace: &Trace) -> u64 {
         .count() as u64
 }
 
-/// Best-of-reps FastTrack replay through the fused block loop, fresh
-/// instance per rep; returns the best duration and the last instance.
-fn time_fasttrack(config: &FastTrackConfig, trace: &Trace, reps: u32) -> (Duration, FastTrack) {
+/// Best-of-reps FastTrack replay through the fused loop, fresh instance
+/// per rep; returns the best duration and the last instance.
+fn time_fasttrack(trace: &Trace, reps: u32) -> (Duration, FastTrack) {
     let mut best = Duration::MAX;
     let mut last = None;
     for _ in 0..reps.max(1) {
-        let mut tool = FastTrack::with_config(config.clone());
+        let mut tool = FastTrack::new();
         let started = Instant::now();
         tool.run(trace);
         best = best.min(started.elapsed());
@@ -150,53 +154,52 @@ fn time_fasttrack(config: &FastTrackConfig, trace: &Trace, reps: u32) -> (Durati
     (best, last.expect("reps >= 1"))
 }
 
-/// Best-of-reps sampler replay (skip-counting driver), fresh instance per
-/// rep.
-fn time_sampler(config: &SamplerConfig, trace: &Trace, reps: u32) -> (Duration, Sampler) {
-    let mut best = Duration::MAX;
-    let mut last = None;
-    for _ in 0..reps.max(1) {
-        let mut tool = Sampler::with_config(config.clone());
-        let started = Instant::now();
-        tool.replay(trace);
-        best = best.min(started.elapsed());
-        last = Some(tool);
-    }
-    (best, last.expect("reps >= 1"))
+/// One sampler replay (skip-counting driver) on a fresh instance.
+fn time_sampler(config: &SamplerConfig, trace: &Trace) -> (Duration, Sampler) {
+    let mut tool = Sampler::with_config(config.clone());
+    let started = Instant::now();
+    tool.replay(trace);
+    (started.elapsed(), tool)
 }
 
-/// One interleaved measurement round over the three overhead contenders —
-/// EMPTY, lazy sampler, eager sampler. Interleaving keeps clock-frequency
-/// drift from biasing the overhead ratios: each round measures all three
-/// back-to-back, and each contender keeps its own best-of-rounds minimum.
+/// Interleaved EMPTY/sampler rounds: each round measures both back to
+/// back, so clock-frequency drift does not bias the overhead ratio, and
+/// each keeps its own best-of-rounds minimum.
 fn time_floor_round(
     trace: &Trace,
-    lazy_cfg: &SamplerConfig,
-    eager_cfg: &SamplerConfig,
+    config: &SamplerConfig,
     rounds: u32,
-) -> (Duration, Duration, Duration, Sampler, Sampler) {
+) -> (Duration, Duration, Sampler) {
     let mut empty_best = Duration::MAX;
-    let mut lazy_best = Duration::MAX;
-    let mut eager_best = Duration::MAX;
-    let mut lazy_last = None;
-    let mut eager_last = None;
+    let mut sampler_best = Duration::MAX;
+    let mut last = None;
     for _ in 0..rounds.max(1) {
         let (e, _) = time_tool("EMPTY", trace, 1);
         empty_best = empty_best.min(e);
-        let (l, lazy) = time_sampler(lazy_cfg, trace, 1);
-        lazy_best = lazy_best.min(l);
-        lazy_last = Some(lazy);
-        let (g, eager) = time_sampler(eager_cfg, trace, 1);
-        eager_best = eager_best.min(g);
-        eager_last = Some(eager);
+        let (s, sampler) = time_sampler(config, trace);
+        sampler_best = sampler_best.min(s);
+        last = Some(sampler);
     }
-    (
-        empty_best,
-        lazy_best,
-        eager_best,
-        lazy_last.expect("rounds >= 1"),
-        eager_last.expect("rounds >= 1"),
-    )
+    (empty_best, sampler_best, last.expect("rounds >= 1"))
+}
+
+fn race_vars(warnings: &[fasttrack::Warning]) -> Vec<VarId> {
+    let mut vars: Vec<VarId> = warnings.iter().map(|w| w.var).collect();
+    vars.sort_unstable();
+    vars.dedup();
+    vars
+}
+
+/// `true` when FastTrack ≡ DJIT+ on race variables and the sampler warns
+/// only on variables FastTrack warns on.
+fn agrees(trace: &Trace, ft: &FastTrack, sampler: &Sampler) -> bool {
+    let ft_vars = race_vars(ft.warnings());
+    let mut djit = Djit::new();
+    djit.run(trace);
+    ft_vars == race_vars(djit.warnings())
+        && race_vars(sampler.warnings())
+            .iter()
+            .all(|v| ft_vars.binary_search(v).is_ok())
 }
 
 fn main() {
@@ -205,19 +208,14 @@ fn main() {
     // Thread counts are deliberately on the high side: the fast lane's
     // claim is O(1) sync against O(threads) joins, so the sweep must cover
     // clocks long enough for the asymptotic gap to show (at 4 threads a
-    // vector join is a near-memcpy and every engine looks the same).
+    // vector join is a near-memcpy).
     let synthetic: Vec<(&str, Trace)> = vec![
         ("lock_ping_pong", lock_ping_pong(16, opts.ops)),
         ("barrier_phases", barrier_phases(16, opts.ops)),
         ("fork_join_tree", fork_join_tree(32, opts.ops)),
         ("volatile_fanout", volatile_fanout(8, opts.ops)),
     ];
-
-    let fused_cfg = FastTrackConfig::default();
-    let ablated_cfg = FastTrackConfig {
-        ablate_sync_fastpath: true,
-        ..FastTrackConfig::default()
-    };
+    let sampler_cfg = SamplerConfig::default().with_seed(opts.seed);
 
     let mut json = JsonWriter::new();
     json.begin_object();
@@ -225,130 +223,83 @@ fn main() {
     json.field_u64("ops", opts.ops as u64);
     json.field_u64("seed", opts.seed);
 
-    println!("sync-path fast lane: fused engine vs ablate_sync_fastpath baseline");
+    println!("sync-path fast lane: FastTrack ns per sync op and fast-path hit rate");
     println!(
         "~{} events/trace, seed {}, best of {} reps\n",
-        opts.ops, opts.seed, opts.reps
+        opts.ops,
+        opts.seed,
+        opts.reps.max(5)
     );
     println!(
-        "{:<16} | {:>8} | {:>9} | {:>11} | {:>11} | {:>8} | {:>7} | agree",
-        "workload", "sync_ops", "sync_dens", "ns/sync(ft)", "ns/sync(abl)", "hit_rate", "speedup"
+        "{:<16} | {:>8} | {:>9} | {:>8} | {:>8} | agree",
+        "workload", "sync_ops", "sync_dens", "ns/sync", "hit_rate"
     );
 
     let mut divergences = 0u64;
-    let mut fused_total = Duration::ZERO;
-    let mut ablated_total = Duration::ZERO;
     json.key("sync_dense");
     json.begin_array();
     for (name, trace) in &synthetic {
         let syncs = sync_op_count(trace);
-        // Interleave fused/ablated rounds so clock-frequency drift cancels
-        // out of the speedup ratio; each side keeps its best round.
-        let mut fused_best = Duration::MAX;
-        let mut ablated_best = Duration::MAX;
-        let mut fused_last = None;
-        let mut ablated_last = None;
-        for _ in 0..opts.reps.max(5) {
-            let (f, ft) = time_fasttrack(&fused_cfg, trace, 1);
-            fused_best = fused_best.min(f);
-            fused_last = Some(ft);
-            let (a, ab) = time_fasttrack(&ablated_cfg, trace, 1);
-            ablated_best = ablated_best.min(a);
-            ablated_last = Some(ab);
-        }
-        let (fused, ablated) = (
-            fused_last.expect("reps >= 1"),
-            ablated_last.expect("reps >= 1"),
-        );
-        let agree = fused.warnings() == ablated.warnings();
+        let (best, ft) = time_fasttrack(trace, opts.reps.max(5));
+        let (_, sampler) = time_sampler(&sampler_cfg, trace);
+        let agree = agrees(trace, &ft, &sampler);
         if !agree {
             divergences += 1;
         }
-        fused_total += fused_best;
-        ablated_total += ablated_best;
-        let hit_rate = fused.stats().sync_fastpath_rate().unwrap_or(0.0);
-        let speedup = ablated_best.as_secs_f64() / fused_best.as_secs_f64();
+        let hit_rate = ft.stats().sync_fastpath_rate().unwrap_or(0.0);
         let density = syncs as f64 / trace.len() as f64;
+        let ns_per_sync = best.as_nanos() as f64 / syncs as f64;
 
         json.begin_object();
         json.field_str("workload", name);
         json.field_u64("events", trace.len() as u64);
         json.field_u64("sync_ops", syncs);
         json.field_f64("sync_density", density);
-        json.field_f64("fused_ms", fused_best.as_secs_f64() * 1e3);
-        json.field_f64("ablated_ms", ablated_best.as_secs_f64() * 1e3);
-        json.field_f64(
-            "ns_per_sync_fused",
-            fused_best.as_nanos() as f64 / syncs as f64,
-        );
-        json.field_f64(
-            "ns_per_sync_ablated",
-            ablated_best.as_nanos() as f64 / syncs as f64,
-        );
+        json.field_f64("ms", best.as_secs_f64() * 1e3);
+        json.field_f64("ns_per_sync", ns_per_sync);
         json.field_f64("fastpath_hit_rate", hit_rate);
-        json.field_u64("fastpath_hits", fused.stats().sync_fastpath_hits);
-        json.field_u64("slow_joins", fused.stats().sync_slow_joins);
-        json.field_f64("speedup", speedup);
-        json.field_bool("warnings_identical", agree);
+        json.field_u64("fastpath_hits", ft.stats().sync_fastpath_hits);
+        json.field_u64("slow_joins", ft.stats().sync_slow_joins);
+        json.field_bool("agrees", agree);
         json.end_object();
 
         println!(
-            "{:<16} | {:>8} | {:>8}% | {:>11} | {:>11} | {:>7}% | {:>6}x | {}",
+            "{:<16} | {:>8} | {:>8}% | {:>8} | {:>7}% | {}",
             name,
             syncs,
             fmt1(density * 100.0),
-            fmt1(fused_best.as_nanos() as f64 / syncs as f64),
-            fmt1(ablated_best.as_nanos() as f64 / syncs as f64),
+            fmt1(ns_per_sync),
             fmt1(hit_rate * 100.0),
-            format!("{speedup:.2}"),
             if agree { "ok" } else { "DIVERGED" }
         );
     }
     json.end_array();
-    let aggregate = ablated_total.as_secs_f64() / fused_total.as_secs_f64();
-    json.field_f64("sync_dense_speedup", aggregate);
-    println!(
-        "\nsync-dense sweep aggregate speedup: {:.2}x (target >= 1.30x)\n",
-        aggregate
-    );
 
-    println!("floor benchmarks: sampler lazy (epoch-only summary) vs eager, over EMPTY");
+    println!("\nfloor benchmarks: sampler overhead over EMPTY");
     println!(
-        "{:<10} | {:>9} | {:>10} | {:>10} | {:>8} | {:>11} | fits",
-        "workload", "sync_dens", "lazy_ovh", "eager_ovh", "ft_hits", "ft_speedup"
+        "{:<10} | {:>9} | {:>9} | {:>8} | fits",
+        "workload", "sync_dens", "overhead", "ft_hits"
     );
-    let envelope = SamplerConfig::default().overhead_budget_pct;
+    let envelope = sampler_cfg.overhead_budget_pct;
     let mut fits = 0u64;
     json.key("floor");
     json.begin_array();
     for name in FLOOR_BENCHMARKS {
         let trace = build(name, opts.scale(), opts.seed);
         let syncs = sync_op_count(&trace);
-
-        // FastTrack fused vs ablated on the real program shapes too.
-        let (fused_best, fused) = time_fasttrack(&fused_cfg, &trace, opts.reps);
-        let (ablated_best, ablated) = time_fasttrack(&ablated_cfg, &trace, opts.reps);
-        let agree = fused.warnings() == ablated.warnings();
+        let (_, ft) = time_fasttrack(&trace, 1);
+        let (empty_best, sampler_best, sampler) =
+            time_floor_round(&trace, &sampler_cfg, opts.reps.max(7));
+        let agree = agrees(&trace, &ft, &sampler);
         if !agree {
             divergences += 1;
         }
-
-        let lazy_cfg = SamplerConfig::default().with_seed(opts.seed);
-        let eager_cfg = SamplerConfig::default()
-            .with_seed(opts.seed)
-            .with_eager_sync(true);
-        let (empty_best, lazy_best, eager_best, lazy, eager) =
-            time_floor_round(&trace, &lazy_cfg, &eager_cfg, opts.reps.max(7));
-        let sampler_agree = lazy.warnings() == eager.warnings();
-        if !sampler_agree {
-            divergences += 1;
-        }
-        let lazy_ovh = (lazy_best.as_secs_f64() / empty_best.as_secs_f64() - 1.0) * 100.0;
-        let eager_ovh = (eager_best.as_secs_f64() / empty_best.as_secs_f64() - 1.0) * 100.0;
-        let in_envelope = lazy_ovh < envelope;
+        let overhead = (sampler_best.as_secs_f64() / empty_best.as_secs_f64() - 1.0) * 100.0;
+        let in_envelope = overhead < envelope;
         if in_envelope {
             fits += 1;
         }
+        let ft_hit_rate = ft.stats().sync_fastpath_rate().unwrap_or(0.0);
 
         json.begin_object();
         json.field_str("workload", name);
@@ -356,37 +307,20 @@ fn main() {
         json.field_u64("sync_ops", syncs);
         json.field_f64("sync_density", syncs as f64 / trace.len() as f64);
         json.field_f64("empty_ms", empty_best.as_secs_f64() * 1e3);
-        json.field_f64(
-            "fasttrack_speedup",
-            ablated_best.as_secs_f64() / fused_best.as_secs_f64(),
-        );
-        json.field_f64(
-            "fasttrack_hit_rate",
-            fused.stats().sync_fastpath_rate().unwrap_or(0.0),
-        );
-        json.field_bool("fasttrack_warnings_identical", agree);
-        json.field_f64("lazy_overhead_pct", lazy_ovh);
-        json.field_f64("eager_overhead_pct", eager_ovh);
-        json.field_f64(
-            "sampler_hit_rate",
-            lazy.stats().sync_fastpath_rate().unwrap_or(0.0),
-        );
-        json.field_bool("sampler_warnings_identical", sampler_agree);
+        json.field_f64("sampler_ms", sampler_best.as_secs_f64() * 1e3);
+        json.field_f64("sampler_overhead_pct", overhead);
+        json.field_f64("fasttrack_hit_rate", ft_hit_rate);
+        json.field_bool("agrees", agree);
         json.field_bool("fits_envelope", in_envelope);
         json.end_object();
 
         println!(
-            "{:<10} | {:>8}% | {:>9}% | {:>9}% | {:>7}% | {:>10}x | {}",
+            "{:<10} | {:>8}% | {:>8}% | {:>7}% | {}",
             name,
             fmt1(syncs as f64 / trace.len() as f64 * 100.0),
-            fmt1(lazy_ovh),
-            fmt1(eager_ovh),
-            fmt1(fused.stats().sync_fastpath_rate().unwrap_or(0.0) * 100.0),
-            format!(
-                "{:.2}",
-                ablated_best.as_secs_f64() / fused_best.as_secs_f64()
-            ),
-            if !agree || !sampler_agree {
+            fmt1(overhead),
+            fmt1(ft_hit_rate * 100.0),
+            if !agree {
                 "DIVERGED"
             } else if in_envelope {
                 "yes"
@@ -402,7 +336,7 @@ fn main() {
     json.end_object();
 
     println!(
-        "\n{fits}/{} floor benchmarks fit the sampler's {}% overhead envelope in lazy mode",
+        "\n{fits}/{} floor benchmarks fit the sampler's {}% overhead envelope",
         FLOOR_BENCHMARKS.len(),
         envelope
     );
@@ -411,7 +345,9 @@ fn main() {
         Err(e) => eprintln!("failed to write BENCH_sync.json: {e}"),
     }
     if divergences > 0 {
-        eprintln!("FAIL: fast-lane engine diverged from the reference on {divergences} workloads");
+        eprintln!(
+            "FAIL: race variables diverged from DJIT+ or FastTrack on {divergences} workloads"
+        );
         std::process::exit(1);
     }
 }

@@ -235,50 +235,6 @@ impl VectorClock {
         }
     }
 
-    /// The join `self := self ⊔ other′`, where `other′` is `other` with the
-    /// component for `lane` replaced by `clock`.
-    ///
-    /// This is the release-epoch *capped join* used when a lock clock is
-    /// represented lazily by its owner's live clock: `L_m` equals the
-    /// owner's clock at release time, and since then the owner has only
-    /// incremented its own component — so joining the owner's *current*
-    /// clock with that one lane capped back to the release clock reproduces
-    /// the exact eager join.
-    ///
-    /// ```
-    /// use ft_clock::{Tid, VectorClock};
-    ///
-    /// let owner = VectorClock::from_components(&[3, 9]); // advanced to 9 post-release
-    /// let mut acq = VectorClock::from_components(&[1, 2, 4]);
-    /// acq.join_capped(&owner, Tid::new(1), 7); // release happened at 7@1
-    /// assert_eq!(acq, VectorClock::from_components(&[3, 7, 4]));
-    /// ```
-    #[inline]
-    pub fn join_capped(&mut self, other: &VectorClock, lane: Tid, clock: u32) {
-        let before = self.get(lane);
-        self.join(other);
-        self.set(lane, before.max(clock));
-    }
-
-    /// `self := other′`, where `other′` is `other` with the component for
-    /// `lane` replaced by `clock` — the assignment form of
-    /// [`VectorClock::join_capped`], used to materialize a lazily
-    /// represented lock clock from its owner's live clock.
-    ///
-    /// ```
-    /// use ft_clock::{Tid, VectorClock};
-    ///
-    /// let owner = VectorClock::from_components(&[3, 9]);
-    /// let mut lock = VectorClock::new();
-    /// lock.assign_capped(&owner, Tid::new(1), 7);
-    /// assert_eq!(lock, VectorClock::from_components(&[3, 7]));
-    /// ```
-    #[inline]
-    pub fn assign_capped(&mut self, other: &VectorClock, lane: Tid, clock: u32) {
-        self.assign(other);
-        self.set(lane, clock);
-    }
-
     /// Copies `other` into `self`, reusing any existing heap allocation.
     #[inline]
     pub fn assign(&mut self, other: &VectorClock) {
@@ -504,28 +460,6 @@ mod tests {
         a.join(&vc(&b_src));
         let expect: Vec<u32> = (0..21).collect();
         assert_eq!(a, vc(&expect));
-    }
-
-    #[test]
-    fn join_capped_replaces_the_lane_before_joining() {
-        // Owner advanced its own lane past the release point; the cap must
-        // win over the live value but still join every other lane.
-        let owner = vc(&[5, 40, 2]);
-        let mut a = vc(&[1, 8, 9]);
-        a.join_capped(&owner, Tid::new(1), 10);
-        assert_eq!(a, vc(&[5, 10, 9]));
-        // The acquirer's own larger entry on the capped lane survives.
-        let mut b = vc(&[0, 99]);
-        b.join_capped(&owner, Tid::new(1), 10);
-        assert_eq!(b, vc(&[5, 99, 2]));
-    }
-
-    #[test]
-    fn assign_capped_copies_with_one_lane_overridden() {
-        let owner = vc(&[5, 40, 2]);
-        let mut lock = vc(&[7, 7, 7, 7]);
-        lock.assign_capped(&owner, Tid::new(1), 10);
-        assert_eq!(lock, vc(&[5, 10, 2]));
     }
 
     #[test]

@@ -10,13 +10,14 @@ use crate::detector::{self, Detector, Disposition};
 use crate::flight::{FlightRecorder, RecorderConfig, ThreadTail};
 use crate::guard::{Guard, GuardConfig, GuardTier, Precision, ShadowBudget};
 use crate::rules::{self, RuleHits};
-use crate::state::{LockClock, ThreadState, VarState, VolatileClock, READ_SHARED};
+use crate::state::{VarState, READ_SHARED};
 use crate::stats::{RuleCount, Stats};
+use crate::sync::SyncCore;
 use crate::warning::{AccessSummary, Provenance, ReadHistory, Warning, WarningKind};
 use ft_clock::{Epoch, Tid, VcPool, VectorClock};
 use ft_obs::{Histogram, Snapshot};
 use ft_trace::batch::opcode;
-use ft_trace::{AccessKind, EventBlock, LockId, Op, Trace, VarId};
+use ft_trace::{AccessKind, EventBlock, Op, Trace, VarId};
 use std::time::Instant;
 
 /// Free clocks the detector keeps around for `Rvc` reuse (the inflate /
@@ -56,11 +57,6 @@ pub struct FastTrackConfig {
     pub ablate_same_epoch: bool,
     /// Disable the adaptive epoch read representation (ablation only).
     pub ablate_adaptive_read: bool,
-    /// Disable the O(1) sync-join fast paths (ablation only): every acquire
-    /// clones the lock clock and joins it, every volatile read joins, and
-    /// barriers allocate a fresh scratch clock — the pre-fast-lane
-    /// behaviour, kept as the measured baseline for `ft-bench --bin sync`.
-    pub ablate_sync_fastpath: bool,
     /// Resource governance (see [`crate::guard`]). `None` disables
     /// accounting entirely; `Some` with [`GuardConfig::mem_budget`] `== 0`
     /// keeps the gauges live but never degrades.
@@ -154,13 +150,9 @@ impl TierLatencies {
 /// paper suggests via accordion clocks.
 #[derive(Clone, Debug)]
 pub struct FastTrack {
-    threads: Vec<Option<ThreadState>>,
-    /// `L_m` per lock, allocated on first release, stamped with the
-    /// releaser's epoch and a version for the O(1) acquire fast path.
-    locks: Vec<Option<LockClock>>,
-    /// `L_vx` per volatile variable (§4 extends `L` over volatiles),
-    /// version-stamped so redundant re-reads skip the join.
-    volatiles: Vec<Option<VolatileClock>>,
+    /// Thread, lock, volatile and barrier clocks with the Figure 5 sync
+    /// handlers.
+    sync: SyncCore,
     vars: Vec<VarState>,
     /// Variables that already produced a warning (suppression set).
     warned: Vec<bool>,
@@ -172,24 +164,6 @@ pub struct FastTrack {
     recorder: Option<FlightRecorder>,
     tiers: TierProfile,
     tier_lat: Option<Box<TierLatencies>>,
-    /// Reused join target for `[FT BARRIER RELEASE]` — barriers are
-    /// steady-state events, so the scratch clock is allocated once per
-    /// detector instead of once per barrier.
-    barrier_scratch: VectorClock,
-    /// Generation counter bumped whenever any thread clock gains *foreign*
-    /// entries (acquire/volatile-read slow joins, fork, join). Between two
-    /// barriers with no such event and an unchanged participant set, every
-    /// participant's clock is the previous barrier's joined clock with only
-    /// its own lane advanced — so the next joined clock is the scratch with
-    /// each participant lane set to that thread's current epoch, O(|T|)
-    /// lane writes instead of |T| full vector joins.
-    sync_gen: u64,
-    /// `sync_gen` snapshot taken at the end of the last barrier.
-    barrier_gen: u64,
-    /// Participant set of the last barrier (order-sensitive by design:
-    /// barrier ops replay deterministically, so the common case is an
-    /// identical slice).
-    barrier_parts: Vec<Tid>,
     config: FastTrackConfig,
 }
 
@@ -211,9 +185,7 @@ impl FastTrack {
         let recorder = config.recorder.map(FlightRecorder::new);
         let tier_lat = config.profile_tiers.then(|| Box::new(TierLatencies::new()));
         FastTrack {
-            threads: Vec::new(),
-            locks: Vec::new(),
-            volatiles: Vec::new(),
+            sync: SyncCore::new(),
             vars: Vec::new(),
             warned: Vec::new(),
             warnings: Vec::new(),
@@ -224,10 +196,6 @@ impl FastTrack {
             recorder,
             tiers: TierProfile::default(),
             tier_lat,
-            barrier_scratch: VectorClock::new(),
-            sync_gen: 0,
-            barrier_gen: u64::MAX,
-            barrier_parts: Vec::new(),
             config,
         }
     }
@@ -236,24 +204,9 @@ impl FastTrack {
     /// mid-run (used by the benchmark harness).
     pub fn with_capacity(n_threads: u32, n_vars: u32, n_locks: u32) -> Self {
         let mut ft = Self::new();
-        ft.threads.reserve(n_threads as usize);
+        ft.sync.reserve(n_threads, n_locks);
         ft.vars.reserve(n_vars as usize);
-        ft.locks.reserve(n_locks as usize);
         ft
-    }
-
-    #[inline]
-    fn thread(&mut self, t: Tid) -> &mut ThreadState {
-        let idx = t.as_usize();
-        if idx >= self.threads.len() {
-            self.threads.resize_with(idx + 1, || None);
-        }
-        let slot = &mut self.threads[idx];
-        if slot.is_none() {
-            self.stats.vc_allocated += 1; // the thread's own C_t
-            *slot = Some(ThreadState::new(t));
-        }
-        slot.as_mut().expect("just initialized")
     }
 
     #[inline]
@@ -355,9 +308,7 @@ impl FastTrack {
         prior_r: Epoch,
         prior_rvc: Option<Vec<(Tid, u32)>>,
     ) -> Provenance {
-        let ts = self.threads[t.as_usize()]
-            .as_ref()
-            .expect("accessing thread has state");
+        let ts = self.sync.thread(t).expect("accessing thread has state");
         let prior_reads = match prior_rvc {
             Some(entries) => ReadHistory::Shared(entries),
             None if prior_r == READ_SHARED => ReadHistory::Shared(Vec::new()),
@@ -469,14 +420,12 @@ impl FastTrack {
         if self.sampled_out(x) {
             return;
         }
-        let epoch = self.thread(t).epoch;
+        self.sync.ensure_thread(t, &mut self.stats);
         self.var(x); // ensure shadow state exists
 
         // Split borrows: the rules touch disjoint fields of self.
-        let ts_vc = &self.threads[t.as_usize()]
-            .as_ref()
-            .expect("thread initialized above")
-            .vc;
+        let ts = self.sync.thread(t).expect("thread initialized above");
+        let epoch = ts.epoch;
         // `rvc_bytes` dereferences the boxed Rvc; only the guard needs the
         // before/after delta, so ungoverned runs skip it entirely.
         let before = if self.guard.is_some() {
@@ -488,7 +437,7 @@ impl FastTrack {
             &mut self.vars[x.as_usize()],
             t,
             epoch,
-            ts_vc,
+            &ts.vc,
             &self.config,
             &mut self.pool,
             &mut self.stats,
@@ -505,29 +454,7 @@ impl FastTrack {
             }
         }
 
-        if let Some(w) = outcome.racy_write {
-            if self.would_report(x) {
-                let prov = self.provenance(
-                    outcome.rule.name(),
-                    w,
-                    t,
-                    w.tid(),
-                    outcome.prior_w,
-                    outcome.prior_r,
-                    outcome.prior_rvc,
-                );
-                self.report(
-                    x,
-                    WarningKind::WriteRead,
-                    w.tid(),
-                    AccessKind::Write,
-                    t,
-                    AccessKind::Read,
-                    index,
-                    prov,
-                );
-            }
-        }
+        self.report_read_race(index, t, x, outcome);
         self.enforce_budget();
     }
 
@@ -557,13 +484,10 @@ impl FastTrack {
         if self.sampled_out(x) {
             return;
         }
-        let epoch = self.thread(t).epoch;
+        self.sync.ensure_thread(t, &mut self.stats);
         self.var(x); // ensure shadow state exists
 
-        let ts_vc = &self.threads[t.as_usize()]
-            .as_ref()
-            .expect("thread initialized above")
-            .vc;
+        let ts = self.sync.thread(t).expect("thread initialized above");
         let before = if self.guard.is_some() {
             self.vars[x.as_usize()].rvc_bytes()
         } else {
@@ -571,8 +495,8 @@ impl FastTrack {
         };
         let outcome = rules::write_var(
             &mut self.vars[x.as_usize()],
-            epoch,
-            ts_vc,
+            ts.epoch,
+            &ts.vc,
             &self.config,
             &mut self.pool,
             &mut self.stats,
@@ -588,6 +512,35 @@ impl FastTrack {
 
         self.report_write_races(index, t, x, outcome);
         self.enforce_budget();
+    }
+
+    /// Turns a [`rules::ReadOutcome`] into a write-read warning when it
+    /// found a racing write. Shared by the governed and pre-ensured read
+    /// paths.
+    fn report_read_race(&mut self, index: usize, t: Tid, x: VarId, outcome: rules::ReadOutcome) {
+        if let Some(w) = outcome.racy_write {
+            if self.would_report(x) {
+                let prov = self.provenance(
+                    outcome.rule.name(),
+                    w,
+                    t,
+                    w.tid(),
+                    outcome.prior_w,
+                    outcome.prior_r,
+                    outcome.prior_rvc,
+                );
+                self.report(
+                    x,
+                    WarningKind::WriteRead,
+                    w.tid(),
+                    AccessKind::Write,
+                    t,
+                    AccessKind::Read,
+                    index,
+                    prov,
+                );
+            }
+        }
     }
 
     /// Turns a [`rules::WriteOutcome`] into warnings (write-write first,
@@ -654,8 +607,9 @@ impl FastTrack {
         self.tiers.preensured += 1;
         let t0 = self.tier_lat.as_ref().map(|_| Instant::now());
         self.stats.reads += 1;
-        let ts = self.threads[t.as_usize()]
-            .as_ref()
+        let ts = self
+            .sync
+            .thread(t)
             .expect("caller proved the thread slot exists");
         let outcome = rules::read_var(
             &mut self.vars[x.as_usize()],
@@ -667,29 +621,7 @@ impl FastTrack {
             &mut self.stats,
         );
         self.rules.hit_read(outcome.rule);
-        if let Some(w) = outcome.racy_write {
-            if self.would_report(x) {
-                let prov = self.provenance(
-                    outcome.rule.name(),
-                    w,
-                    t,
-                    w.tid(),
-                    outcome.prior_w,
-                    outcome.prior_r,
-                    outcome.prior_rvc,
-                );
-                self.report(
-                    x,
-                    WarningKind::WriteRead,
-                    w.tid(),
-                    AccessKind::Write,
-                    t,
-                    AccessKind::Read,
-                    index,
-                    prov,
-                );
-            }
-        }
+        self.report_read_race(index, t, x, outcome);
         if let Some(t0) = t0 {
             let ns = t0.elapsed().as_nanos() as u64;
             if let Some(lat) = self.tier_lat.as_mut() {
@@ -705,8 +637,9 @@ impl FastTrack {
         self.tiers.preensured += 1;
         let t0 = self.tier_lat.as_ref().map(|_| Instant::now());
         self.stats.writes += 1;
-        let ts = self.threads[t.as_usize()]
-            .as_ref()
+        let ts = self
+            .sync
+            .thread(t)
             .expect("caller proved the thread slot exists");
         let outcome = rules::write_var(
             &mut self.vars[x.as_usize()],
@@ -822,259 +755,6 @@ impl FastTrack {
         self.recorder.as_ref()
     }
 
-    /// Split borrow into the thread slab: mutable `dst`, shared `src`.
-    /// Both slots must already be ensured, and `dst != src` — this is what
-    /// lets fork/join/acquire join one clock into another without cloning
-    /// the source first.
-    #[inline]
-    fn thread_pair(
-        threads: &mut [Option<ThreadState>],
-        dst: usize,
-        src: usize,
-    ) -> (&mut ThreadState, &ThreadState) {
-        debug_assert_ne!(dst, src);
-        if dst < src {
-            let (lo, hi) = threads.split_at_mut(src);
-            (
-                lo[dst].as_mut().expect("ensured"),
-                hi[0].as_ref().expect("ensured"),
-            )
-        } else {
-            let (lo, hi) = threads.split_at_mut(dst);
-            (
-                hi[0].as_mut().expect("ensured"),
-                lo[src].as_ref().expect("ensured"),
-            )
-        }
-    }
-
-    /// `[FT ACQUIRE]`: `C_t := C_t ⊔ L_m`.
-    ///
-    /// Two O(1) fast paths run before the O(n) join:
-    ///
-    /// 1. **seen-version** — one load: `t` already joined this exact clock
-    ///    (same [`LockClock::version`]), so the join is the identity;
-    /// 2. **release-epoch** — `C_t(r) ≥ c` for the releaser's pre-increment
-    ///    epoch `c@r` implies `C_t ⊒ L_m` (release *assigns* the whole
-    ///    clock and every published clock is followed by an increment, so
-    ///    `C_t(r) ≥ c` only arises via a synchronization chain from at or
-    ///    after that release), making the join the identity again.
-    ///
-    /// The miss path is a clone-free split-borrow join — the pre-fast-lane
-    /// code cloned `L_m` on every acquire.
-    fn acquire(&mut self, t: Tid, m: LockId) {
-        self.thread(t); // ensure exists
-        let idx = m.as_usize();
-        let Some(Some(lm)) = self.locks.get(idx) else {
-            return; // never released: L_m = ⊥ᵥ, join is the identity
-        };
-        if self.config.ablate_sync_fastpath {
-            // Baseline for the ablation bench: O(n) clone + join on every
-            // acquire, exactly the pre-fast-lane behaviour.
-            self.stats.vc_ops += 1;
-            self.sync_gen += 1;
-            let lm = lm.vc.clone();
-            let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-            ts.vc.join(&lm);
-            ts.refresh_epoch();
-            return;
-        }
-        let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-        if ts.seen_lock(idx) == lm.version || lm.rel.happens_before(&ts.vc) {
-            self.stats.sync_fastpath_hits += 1;
-            ts.note_lock(idx, lm.version);
-            return;
-        }
-        self.stats.sync_slow_joins += 1;
-        self.stats.vc_ops += 1;
-        self.sync_gen += 1;
-        ts.vc.join(&lm.vc);
-        ts.refresh_epoch();
-        ts.note_lock(idx, lm.version);
-    }
-
-    /// `[FT RELEASE]`: `L_m := C_t; C_t := incₜ(C_t)`.
-    ///
-    /// The lock clock is stamped with the releaser's pre-increment epoch
-    /// (the acquire fast path's certificate) and its version is bumped so
-    /// stale seen-version stamps stop matching.
-    fn release(&mut self, t: Tid, m: LockId) {
-        self.thread(t);
-        let idx = m.as_usize();
-        if idx >= self.locks.len() {
-            self.locks.resize_with(idx + 1, || None);
-        }
-        let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-        self.stats.vc_ops += 1; // O(n) copy
-        match &mut self.locks[idx] {
-            Some(lm) => {
-                lm.vc.assign(&ts.vc);
-                lm.rel = ts.epoch;
-                lm.version += 1;
-            }
-            slot @ None => {
-                self.stats.vc_allocated += 1;
-                *slot = Some(LockClock::new(ts.vc.clone(), ts.epoch));
-            }
-        }
-        ts.inc();
-    }
-
-    /// `[FT FORK]`: `C_u := C_u ⊔ C_t; C_t := incₜ(C_t)`.
-    ///
-    /// No O(1) skip exists here: every outgoing publication of `C_t` is
-    /// followed by an increment, so the child can never already dominate
-    /// the parent's *current* clock — the join always does work. It is a
-    /// clone-free split borrow instead.
-    fn fork(&mut self, t: Tid, u: Tid) {
-        self.thread(t);
-        self.thread(u);
-        self.stats.vc_ops += 1;
-        if t != u {
-            self.sync_gen += 1;
-            let (us, ct) = Self::thread_pair(&mut self.threads, u.as_usize(), t.as_usize());
-            us.vc.join(&ct.vc);
-            us.refresh_epoch();
-        }
-        self.threads[t.as_usize()].as_mut().expect("ensured").inc();
-    }
-
-    /// `[FT JOIN]`: `C_t := C_t ⊔ C_u; C_u := inc_u(C_u)`.
-    ///
-    /// Clone-free for the same reason as [`FastTrack::fork`] — and like
-    /// fork, a skip check can never fire, so none is attempted.
-    fn join(&mut self, t: Tid, u: Tid) {
-        self.thread(t);
-        self.thread(u);
-        self.stats.vc_ops += 1;
-        if t != u {
-            self.sync_gen += 1;
-            let (ts, cu) = Self::thread_pair(&mut self.threads, t.as_usize(), u.as_usize());
-            ts.vc.join(&cu.vc);
-            ts.refresh_epoch();
-        }
-        self.threads[u.as_usize()].as_mut().expect("ensured").inc();
-    }
-
-    /// `[FT READ VOLATILE]`: `C_t := C_t ⊔ L_vx` (§4).
-    ///
-    /// `L_vx` is a *join* of every writer, so no single release epoch
-    /// summarizes it — the seen-version stamp is the only O(1) skip: if `t`
-    /// already joined this exact clock version, the re-join is the
-    /// identity.
-    fn volatile_read(&mut self, t: Tid, x: VarId) {
-        self.thread(t);
-        let idx = x.as_usize();
-        let Some(Some(lv)) = self.volatiles.get(idx) else {
-            return; // never written: L_vx = ⊥ᵥ
-        };
-        if self.config.ablate_sync_fastpath {
-            self.stats.vc_ops += 1;
-            self.sync_gen += 1;
-            let lv = lv.vc.clone();
-            let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-            ts.vc.join(&lv);
-            ts.refresh_epoch();
-            return;
-        }
-        let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-        if ts.seen_volatile(idx) == lv.version {
-            self.stats.sync_fastpath_hits += 1;
-            return;
-        }
-        self.stats.sync_slow_joins += 1;
-        self.stats.vc_ops += 1;
-        self.sync_gen += 1;
-        ts.vc.join(&lv.vc);
-        ts.refresh_epoch();
-        ts.note_volatile(idx, lv.version);
-    }
-
-    /// `[FT WRITE VOLATILE]`: `L_vx := C_t ⊔ L_vx; C_t := incₜ(C_t)` (§4).
-    fn volatile_write(&mut self, t: Tid, x: VarId) {
-        self.thread(t);
-        let idx = x.as_usize();
-        if idx >= self.volatiles.len() {
-            self.volatiles.resize_with(idx + 1, || None);
-        }
-        let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-        self.stats.vc_ops += 1;
-        match &mut self.volatiles[idx] {
-            Some(lv) => {
-                lv.vc.join(&ts.vc);
-                lv.version += 1;
-            }
-            slot @ None => {
-                self.stats.vc_allocated += 1;
-                *slot = Some(VolatileClock::new(ts.vc.clone()));
-            }
-        }
-        ts.inc();
-    }
-
-    /// `[FT BARRIER RELEASE]`: every `t ∈ T` gets `C_t := incₜ(⊔_{u∈T} C_u)`
-    /// (§4).
-    ///
-    /// The join target is the detector-lifetime scratch clock — barriers
-    /// are steady-state events in phased programs, so they must not charge
-    /// an allocation per phase. In the steady state (same participant set,
-    /// no foreign-entry joins since the previous barrier, as tracked by
-    /// `sync_gen`), every participant's clock is
-    /// the previous joined clock with only its own lane advanced, so the
-    /// new joined clock is rebuilt from per-thread epochs in O(|T|) lane
-    /// writes instead of |T| full vector joins.
-    fn barrier_release(&mut self, threads: &[Tid]) {
-        let ablate = self.config.ablate_sync_fastpath;
-        let epoch_rebuild = !ablate
-            && self.barrier_gen == self.sync_gen
-            && self.barrier_parts == threads
-            && !threads.is_empty();
-        let mut joined = if ablate {
-            // Baseline: the pre-fast-lane fresh clock per barrier.
-            self.stats.vc_allocated += 1;
-            VectorClock::new()
-        } else {
-            let mut j = std::mem::take(&mut self.barrier_scratch);
-            if !epoch_rebuild {
-                j.clear();
-            }
-            j
-        };
-        if epoch_rebuild {
-            // Scratch still holds ⊔ of the previous phase; only the
-            // participants' own lanes moved since (release/volatile-write
-            // increments), and each one's current value is its epoch.
-            self.stats.sync_fastpath_hits += 1;
-            for &u in threads {
-                let e = self.threads[u.as_usize()]
-                    .as_ref()
-                    .expect("participant")
-                    .epoch;
-                joined.set(u, e.clock());
-            }
-        } else {
-            for &u in threads {
-                self.thread(u);
-                self.stats.vc_ops += 1;
-                joined.join(&self.threads[u.as_usize()].as_ref().expect("ensured").vc);
-            }
-        }
-        for &t in threads {
-            self.stats.vc_ops += 1;
-            let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-            ts.vc.assign(&joined);
-            ts.inc();
-        }
-        if !ablate {
-            self.barrier_scratch = joined;
-            self.barrier_gen = self.sync_gen;
-            if self.barrier_parts != threads {
-                self.barrier_parts.clear();
-                self.barrier_parts.extend_from_slice(threads);
-            }
-        }
-    }
-
     /// Advances thread `t`'s clock (`C_t := incₜ(C_t)`) without any other
     /// effect.
     ///
@@ -1083,7 +763,7 @@ impl FastTrack {
     /// still end the releasing thread's epoch so the same-epoch caches stay
     /// sound).
     pub fn advance_epoch(&mut self, t: Tid) {
-        self.thread(t).inc();
+        self.sync.ensure_thread(t, &mut self.stats).inc();
     }
 
     /// Checks the appendix's **Definition 1 (well-formed states)** on the
@@ -1101,16 +781,12 @@ impl FastTrack {
     /// `well_formedness_is_preserved` exercises exactly that claim against
     /// this checker after every analyzed event.
     pub fn well_formedness_violation(&self) -> Option<String> {
-        let clock_of = |t: Tid| -> Option<&VectorClock> {
-            self.threads
-                .get(t.as_usize())
-                .and_then(|s| s.as_ref())
-                .map(|s| &s.vc)
-        };
+        let clock_of = |t: Tid| -> Option<&VectorClock> { self.sync.thread(t).map(|s| &s.vc) };
+        let threads = self.sync.threads();
         // Clause 1.
-        for (ui, us) in self.threads.iter().enumerate() {
+        for (ui, us) in threads.iter().enumerate() {
             let Some(us) = us else { continue };
-            for (ti, ts) in self.threads.iter().enumerate() {
+            for (ti, ts) in threads.iter().enumerate() {
                 let Some(ts) = ts else { continue };
                 let t = Tid::new(ti as u32);
                 if ui != ti && us.vc.get(t) >= ts.vc.get(t) {
@@ -1123,8 +799,12 @@ impl FastTrack {
             }
         }
         // Clause 2 (locks and the volatile extension of L).
-        let lock_clocks = self.locks.iter().map(|s| s.as_ref().map(|l| &l.vc));
-        let volatile_clocks = self.volatiles.iter().map(|s| s.as_ref().map(|v| &v.vc));
+        let lock_clocks = self.sync.locks().iter().map(|s| s.as_ref().map(|l| &l.vc));
+        let volatile_clocks = self
+            .sync
+            .volatiles()
+            .iter()
+            .map(|s| s.as_ref().map(|v| &v.vc));
         for (mi, lm) in lock_clocks.chain(volatile_clocks).enumerate() {
             let Some(lm) = lm else { continue };
             for (t, c) in lm.iter_nonzero() {
@@ -1206,84 +886,32 @@ impl Detector for FastTrack {
 
     fn on_op(&mut self, index: usize, op: &Op) -> Disposition {
         self.stats.ops += 1;
-        // Accesses are recorded inside `read`/`write` (which also serve the
-        // fused loops); everything else is recorded here.
-        if self.recorder.is_some() && !op.is_access() {
-            self.record_op(index, op);
-        }
-        match op {
+        match *op {
             Op::Read(t, x) => {
-                self.read(index, *t, *x);
-                return self.access_disposition(*x);
+                self.read(index, t, x);
+                self.access_disposition(x)
             }
             Op::Write(t, x) => {
-                self.write(index, *t, *x);
-                return self.access_disposition(*x);
+                self.write(index, t, x);
+                self.access_disposition(x)
             }
-            Op::Acquire(t, m) => {
-                self.stats.sync_ops += 1;
-                self.acquire(*t, *m);
-            }
-            Op::Release(t, m) => {
-                self.stats.sync_ops += 1;
-                self.release(*t, *m);
-            }
-            Op::Fork(t, u) => {
-                self.stats.sync_ops += 1;
-                self.fork(*t, *u);
-            }
-            Op::Join(t, u) => {
-                self.stats.sync_ops += 1;
-                self.join(*t, *u);
-            }
-            Op::VolatileRead(t, x) => {
-                self.stats.sync_ops += 1;
-                self.volatile_read(*t, *x);
-            }
-            Op::VolatileWrite(t, x) => {
-                self.stats.sync_ops += 1;
-                self.volatile_write(*t, *x);
-            }
-            Op::Wait(t, m) => {
-                // §4: wait = release + subsequent acquire.
-                self.stats.sync_ops += 1;
-                self.release(*t, *m);
-                self.acquire(*t, *m);
-            }
-            Op::BarrierRelease(ts) => {
-                self.stats.sync_ops += 1;
-                self.barrier_release(ts);
-            }
-            Op::Notify(..) | Op::AtomicBegin(_) | Op::AtomicEnd(_) => {
-                // No happens-before effect (§4: "A notify operation can be
-                // ignored").
+            _ => {
+                // Accesses are recorded inside `read`/`write` (which also
+                // serve the fused loops); everything else is recorded here.
+                if self.recorder.is_some() {
+                    self.record_op(index, op);
+                }
+                self.sync.apply_op(op, &mut self.stats);
+                Disposition::Forward
             }
         }
-        Disposition::Forward
     }
 
     fn on_block(&mut self, base_index: usize, block: &EventBlock) {
         let t0 = self.tier_lat.as_ref().map(|_| Instant::now());
         self.stats.ops += block.len() as u64;
-        // With no guard to account to, a same-epoch hit has no observable
-        // effect beyond two counters — the check can run on the raw lanes
-        // before any of the per-access setup (`thread`/`var` ensures, guard
-        // bookkeeping, disposition) is paid. A flight recorder must see
-        // every event, so it forces the governed path the same way a guard
-        // does — leaving the recorder-disabled loop structurally unchanged.
-        let fast =
-            self.guard.is_none() && self.recorder.is_none() && !self.config.ablate_same_epoch;
-        // Second inline tier as in `run`: race-free `[FT READ/WRITE
-        // EXCLUSIVE]` runs inline; only shared/racy/inflating accesses
-        // leave the loop.
-        let fast_excl = fast && !self.config.ablate_adaptive_read;
-        // Fast-path hits are tallied in locals and flushed once after the
-        // loop: the inline tiers make no calls, so these stay in registers
-        // instead of being three read-modify-write stores per event.
-        let mut se_reads = 0u64;
-        let mut ex_reads = 0u64;
-        let mut se_writes = 0u64;
-        let mut ex_writes = 0u64;
+        let tiers = self.inline_tiers();
+        let mut tally = InlineTally::default();
         for i in 0..block.len() {
             let kind = block.kind(i);
             let t = block.tid(i);
@@ -1292,112 +920,22 @@ impl Detector for FastTrack {
             // dispatched before the sync match and skip `Op`
             // reconstruction entirely.
             if kind == opcode::READ {
-                if fast {
-                    if let (Some(Some(ts)), Some(vs)) = (
-                        self.threads.get(t.as_usize()),
-                        self.vars.get_mut(a as usize),
-                    ) {
-                        if vs.read_hits_same_epoch(ts.epoch) {
-                            se_reads += 1;
-                        } else {
-                            let w = vs.w();
-                            let r = vs.r();
-                            if fast_excl
-                                && r != READ_SHARED
-                                && w.happens_before(&ts.vc)
-                                && r.happens_before(&ts.vc)
-                            {
-                                // `[FT READ EXCLUSIVE]`, race-free.
-                                vs.set_r(ts.epoch);
-                                ex_reads += 1;
-                            } else {
-                                // The probe proved both slabs are populated.
-                                self.read_preensured(base_index + i, t, VarId::new(a));
-                            }
-                        }
-                        continue;
-                    }
-                }
-                self.read(base_index + i, t, VarId::new(a));
+                self.access::<false>(base_index + i, t, VarId::new(a), tiers, &mut tally);
             } else if kind == opcode::WRITE {
-                if fast {
-                    if let (Some(Some(ts)), Some(vs)) = (
-                        self.threads.get(t.as_usize()),
-                        self.vars.get_mut(a as usize),
-                    ) {
-                        if vs.write_hits_same_epoch(ts.epoch) {
-                            se_writes += 1;
-                        } else {
-                            let w = vs.w();
-                            let r = vs.r();
-                            if fast_excl
-                                && r != READ_SHARED
-                                && w.happens_before(&ts.vc)
-                                && r.happens_before(&ts.vc)
-                            {
-                                // `[FT WRITE EXCLUSIVE]`, race-free.
-                                vs.set_w(ts.epoch);
-                                ex_writes += 1;
-                            } else {
-                                self.write_preensured(base_index + i, t, VarId::new(a));
-                            }
-                        }
-                        continue;
-                    }
-                }
-                self.write(base_index + i, t, VarId::new(a));
+                self.access::<true>(base_index + i, t, VarId::new(a), tiers, &mut tally);
             } else {
                 if self.recorder.is_some() {
                     self.record_block_sync(base_index + i, block, kind, t, a);
                 }
-                match kind {
-                    opcode::ACQUIRE => {
-                        self.stats.sync_ops += 1;
-                        self.acquire(t, LockId::new(a));
-                    }
-                    opcode::RELEASE => {
-                        self.stats.sync_ops += 1;
-                        self.release(t, LockId::new(a));
-                    }
-                    opcode::FORK => {
-                        self.stats.sync_ops += 1;
-                        self.fork(t, Tid::new(a));
-                    }
-                    opcode::JOIN => {
-                        self.stats.sync_ops += 1;
-                        self.join(t, Tid::new(a));
-                    }
-                    opcode::VOLATILE_READ => {
-                        self.stats.sync_ops += 1;
-                        self.volatile_read(t, VarId::new(a));
-                    }
-                    opcode::VOLATILE_WRITE => {
-                        self.stats.sync_ops += 1;
-                        self.volatile_write(t, VarId::new(a));
-                    }
-                    opcode::WAIT => {
-                        // §4: wait = release + subsequent acquire.
-                        self.stats.sync_ops += 1;
-                        self.release(t, LockId::new(a));
-                        self.acquire(t, LockId::new(a));
-                    }
-                    opcode::BARRIER => {
-                        self.stats.sync_ops += 1;
-                        self.barrier_release(block.barrier(a));
-                    }
-                    _ => {
-                        // NOTIFY / ATOMIC_BEGIN / ATOMIC_END: no
-                        // happens-before effect.
-                    }
-                }
+                let parties = if kind == opcode::BARRIER {
+                    block.barrier(a)
+                } else {
+                    &[]
+                };
+                self.sync.apply(kind, t, a, parties, &mut self.stats);
             }
         }
-        self.stats.reads += se_reads + ex_reads;
-        self.stats.writes += se_writes + ex_writes;
-        self.rules
-            .hit_fast_bulk(se_reads, ex_reads, se_writes, ex_writes);
-        self.tiers.same_epoch += se_reads + se_writes;
-        self.tiers.inline_exclusive += ex_reads + ex_writes;
+        self.flush_tally(tally);
         if let Some(t0) = t0 {
             let ns = t0.elapsed().as_nanos() as u64;
             if let Some(lat) = self.tier_lat.as_mut() {
@@ -1407,92 +945,24 @@ impl Detector for FastTrack {
     }
 
     fn run(&mut self, trace: &Trace) {
-        // The fused whole-trace loop: same-epoch hits short-circuit before
-        // any per-access setup (see `on_block`), accesses skip the
-        // prefilter-disposition lookup, and everything else falls back to
-        // `on_op`. Events are consumed straight off the slice — copying
-        // them into an `EventBlock` first would cost more than the fused
-        // dispatch saves (blocks earn their keep when the *decoder* fills
-        // them, as in the `.ftb` streaming path). As in `on_block`, a
-        // flight recorder forces every access onto the governed path.
-        let fast =
-            self.guard.is_none() && self.recorder.is_none() && !self.config.ablate_same_epoch;
-        // Second inline tier: the race-free `[FT READ/WRITE EXCLUSIVE]`
-        // case is two epoch-vs-clock compares and one store, so it runs
-        // inline too; only shared/racy/inflating accesses leave the loop.
-        // (Adaptive-read ablation inflates on first read, so it must take
-        // the full rule body.)
-        let fast_excl = fast && !self.config.ablate_adaptive_read;
-        // Access counters live in locals and flush once after the loop: the
-        // inline tiers then make no calls and no stores, so these stay in
-        // registers instead of being three read-modify-write stores through
-        // `&mut self` per event.
+        // The fused whole-trace loop: the same inline tiers as `on_block`,
+        // accesses skip the prefilter-disposition lookup, and everything
+        // else falls back to `on_op`. Events are consumed straight off the
+        // slice — copying them into an `EventBlock` first would cost more
+        // than the fused dispatch saves (blocks earn their keep when the
+        // *decoder* fills them, as in the `.ftb` streaming path).
+        let tiers = self.inline_tiers();
+        let mut tally = InlineTally::default();
         let mut accesses = 0u64;
-        let mut se_reads = 0u64;
-        let mut ex_reads = 0u64;
-        let mut se_writes = 0u64;
-        let mut ex_writes = 0u64;
         for (index, op) in trace.events().iter().enumerate() {
-            match op {
+            match *op {
                 Op::Read(t, x) => {
                     accesses += 1;
-                    if fast {
-                        if let (Some(Some(ts)), Some(vs)) = (
-                            self.threads.get(t.as_usize()),
-                            self.vars.get_mut(x.as_usize()),
-                        ) {
-                            if vs.read_hits_same_epoch(ts.epoch) {
-                                se_reads += 1;
-                            } else {
-                                let w = vs.w();
-                                let r = vs.r();
-                                if fast_excl
-                                    && r != READ_SHARED
-                                    && w.happens_before(&ts.vc)
-                                    && r.happens_before(&ts.vc)
-                                {
-                                    // `[FT READ EXCLUSIVE]`, race-free.
-                                    vs.set_r(ts.epoch);
-                                    ex_reads += 1;
-                                } else {
-                                    // The probe proved both slabs are
-                                    // populated.
-                                    self.read_preensured(index, *t, *x);
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                    self.read(index, *t, *x);
+                    self.access::<false>(index, t, x, tiers, &mut tally);
                 }
                 Op::Write(t, x) => {
                     accesses += 1;
-                    if fast {
-                        if let (Some(Some(ts)), Some(vs)) = (
-                            self.threads.get(t.as_usize()),
-                            self.vars.get_mut(x.as_usize()),
-                        ) {
-                            if vs.write_hits_same_epoch(ts.epoch) {
-                                se_writes += 1;
-                            } else {
-                                let w = vs.w();
-                                let r = vs.r();
-                                if fast_excl
-                                    && r != READ_SHARED
-                                    && w.happens_before(&ts.vc)
-                                    && r.happens_before(&ts.vc)
-                                {
-                                    // `[FT WRITE EXCLUSIVE]`, race-free.
-                                    vs.set_w(ts.epoch);
-                                    ex_writes += 1;
-                                } else {
-                                    self.write_preensured(index, *t, *x);
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                    self.write(index, *t, *x);
+                    self.access::<true>(index, t, x, tiers, &mut tally);
                 }
                 _ => {
                     self.on_op(index, op);
@@ -1500,12 +970,7 @@ impl Detector for FastTrack {
             }
         }
         self.stats.ops += accesses;
-        self.stats.reads += se_reads + ex_reads;
-        self.stats.writes += se_writes + ex_writes;
-        self.rules
-            .hit_fast_bulk(se_reads, ex_reads, se_writes, ex_writes);
-        self.tiers.same_epoch += se_reads + se_writes;
-        self.tiers.inline_exclusive += ex_reads + ex_writes;
+        self.flush_tally(tally);
     }
 
     fn warnings(&self) -> &[Warning] {
@@ -1518,26 +983,8 @@ impl Detector for FastTrack {
 
     fn shadow_bytes(&self) -> usize {
         let vars: usize = self.vars.iter().map(VarState::shadow_bytes).sum();
-        let threads: usize = self
-            .threads
-            .iter()
-            .flatten()
-            .map(|ts| std::mem::size_of::<ThreadState>() + ts.vc.heap_bytes() + ts.seen_bytes())
-            .sum();
-        let locks: usize = self
-            .locks
-            .iter()
-            .flatten()
-            .map(|lk| std::mem::size_of::<LockClock>() + lk.vc.heap_bytes())
-            .sum();
-        let volatiles: usize = self
-            .volatiles
-            .iter()
-            .flatten()
-            .map(|lv| std::mem::size_of::<VolatileClock>() + lv.vc.heap_bytes())
-            .sum();
         let recorder = self.recorder.as_ref().map_or(0, FlightRecorder::bytes);
-        vars + threads + locks + volatiles + recorder
+        vars + self.sync.shadow_bytes() + recorder
     }
 
     fn rule_breakdown(&self) -> Vec<RuleCount> {
@@ -1581,7 +1028,117 @@ impl Detector for FastTrack {
     }
 }
 
+/// Inline-tier hits of one fused loop. They live in locals and are
+/// flushed once after the loop: the inline tiers make no calls, so the
+/// counts stay in registers instead of being read-modify-write stores
+/// through `&mut self` per event.
+#[derive(Default)]
+struct InlineTally {
+    se_reads: u64,
+    ex_reads: u64,
+    se_writes: u64,
+    ex_writes: u64,
+}
+
 impl FastTrack {
+    /// Which inline tiers the fused loops may take: `(same_epoch,
+    /// exclusive)`.
+    ///
+    /// With no guard to account to, a same-epoch hit has no observable
+    /// effect beyond two counters — the check can run on the raw lanes
+    /// before any of the per-access setup (`thread`/`var` ensures, guard
+    /// bookkeeping, disposition) is paid. A flight recorder must see every
+    /// event, so it forces the governed path the same way a guard does —
+    /// leaving the recorder-disabled loop structurally unchanged.
+    ///
+    /// The race-free `[FT READ/WRITE EXCLUSIVE]` case is two
+    /// epoch-vs-clock compares and one store, so it runs inline too; only
+    /// shared/racy/inflating accesses leave the loop. (Adaptive-read
+    /// ablation inflates on first read, so it must take the full rule
+    /// body.)
+    fn inline_tiers(&self) -> (bool, bool) {
+        let fast =
+            self.guard.is_none() && self.recorder.is_none() && !self.config.ablate_same_epoch;
+        (fast, fast && !self.config.ablate_adaptive_read)
+    }
+
+    /// One access of a fused loop, cheapest tier first: the inline
+    /// same-epoch probe (tier 1), the inline race-free exclusive
+    /// transition (tier 2), then the out-of-line pre-ensured path (tier 3)
+    /// once the probe has proven both shadow slots exist, else the
+    /// governed path (tier 4). `WRITE` picks the rule side at compile time.
+    #[inline(always)]
+    fn access<const WRITE: bool>(
+        &mut self,
+        index: usize,
+        t: Tid,
+        x: VarId,
+        (fast, fast_excl): (bool, bool),
+        tally: &mut InlineTally,
+    ) {
+        if fast {
+            if let (Some(ts), Some(vs)) = (self.sync.thread(t), self.vars.get_mut(x.as_usize())) {
+                let same_epoch = if WRITE {
+                    vs.write_hits_same_epoch(ts.epoch)
+                } else {
+                    vs.read_hits_same_epoch(ts.epoch)
+                };
+                if same_epoch {
+                    if WRITE {
+                        tally.se_writes += 1;
+                    } else {
+                        tally.se_reads += 1;
+                    }
+                    return;
+                }
+                let w = vs.w();
+                let r = vs.r();
+                if fast_excl
+                    && r != READ_SHARED
+                    && w.happens_before(&ts.vc)
+                    && r.happens_before(&ts.vc)
+                {
+                    // `[FT READ/WRITE EXCLUSIVE]`, race-free.
+                    if WRITE {
+                        vs.set_w(ts.epoch);
+                        tally.ex_writes += 1;
+                    } else {
+                        vs.set_r(ts.epoch);
+                        tally.ex_reads += 1;
+                    }
+                    return;
+                }
+                if WRITE {
+                    self.write_preensured(index, t, x);
+                } else {
+                    self.read_preensured(index, t, x);
+                }
+                return;
+            }
+        }
+        if WRITE {
+            self.write(index, t, x);
+        } else {
+            self.read(index, t, x);
+        }
+    }
+
+    /// Adds one fused loop's inline-tier hits to the counters.
+    fn flush_tally(&mut self, tally: InlineTally) {
+        let InlineTally {
+            se_reads,
+            ex_reads,
+            se_writes,
+            ex_writes,
+        } = tally;
+        self.stats.reads += se_reads + ex_reads;
+        self.stats.writes += se_writes + ex_writes;
+        self.rules
+            .hit_fast_bulk(se_reads, ex_reads, se_writes, ex_writes);
+        self.tiers.same_epoch += se_reads + se_writes;
+        self.tiers.inline_exclusive += ex_reads + ex_writes;
+    }
+
     /// Prefilter policy (§5.2): once a variable is known racy, its accesses
     /// are interesting to downstream checkers; race-free accesses are
     /// suppressed. (Footnote 6: this may filter an access that is *later*
@@ -1599,7 +1156,7 @@ impl FastTrack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_trace::TraceBuilder;
+    use ft_trace::{LockId, TraceBuilder};
 
     const T0: Tid = Tid::new(0);
     const T1: Tid = Tid::new(1);
@@ -1677,7 +1234,7 @@ mod tests {
     }
 
     #[test]
-    fn fork_join_is_race_free() {
+    fn accesses_ordered_by_fork_and_join_are_race_free() {
         let mut b = TraceBuilder::new();
         b.write(T0, X).unwrap();
         b.fork(T0, T1).unwrap();
@@ -1775,7 +1332,7 @@ mod tests {
     }
 
     #[test]
-    fn release_advances_epoch_so_same_epoch_misses() {
+    fn a_release_advances_the_epoch_so_same_epoch_misses() {
         let ft = run(|b| {
             b.read(T0, X)?;
             b.release_after_acquire(T0, M, |_| Ok(()))?;

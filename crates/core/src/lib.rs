@@ -47,6 +47,9 @@
 //! * [`rules`] — the Figure 5 transition rules over one variable, shared by
 //!   the detector and the `ft-sampler` sampling tier (which replays sampled
 //!   access pairs through the exact same code).
+//! * [`sync`] — the Figure 5 synchronization rules over thread, lock,
+//!   volatile and barrier clocks ([`SyncCore`]), held by the detector and
+//!   by the `ft-sampler` tier alike.
 //! * [`guard`] — `ft-guard`: byte-accurate shadow-state budgets and the
 //!   graceful degradation ladder (full → Rvc eviction → sampling), surfaced
 //!   as a [`Precision`] verdict on every report.
@@ -62,6 +65,7 @@ pub mod guard;
 pub mod rules;
 mod state;
 mod stats;
+pub mod sync;
 mod warning;
 
 pub use analysis::{FastTrack, FastTrackConfig, ReadMode, TierProfile};
@@ -71,4 +75,5 @@ pub use flight::{FlightRecorder, RecordedEvent, RecorderConfig, ThreadTail};
 pub use guard::{DegradationRecord, GuardConfig, GuardTier, Precision, ShadowBudget};
 pub use state::{LockClock, ThreadState, VarState, VolatileClock, READ_SHARED};
 pub use stats::{RuleCount, Stats};
+pub use sync::SyncCore;
 pub use warning::{warnings_to_json, AccessSummary, Provenance, ReadHistory, Warning, WarningKind};

@@ -9,8 +9,9 @@
 //!   [`SamplerConfig::budget`] sampled access epochs per variable, regardless
 //!   of how many threads touch it (no `Rvc` inflation, ever);
 //! * maintains **exact** vector clocks on synchronization operations (the
-//!   rare ~3% of events), so every happens-before verdict on a sampled pair
-//!   is precise;
+//!   rare ~3% of events) through FastTrack's own sync core
+//!   ([`fasttrack::sync`]), so every happens-before verdict on a sampled
+//!   pair is precise;
 //! * replays each admitted access against the variable's stored samples
 //!   through the *real* Figure 5 transition rules ([`fasttrack::rules`]) —
 //!   the same code the FastTrack detector runs;
@@ -53,11 +54,11 @@
 use fasttrack::rules::{self, RuleHits};
 use fasttrack::{
     base_registry, AccessSummary, Detector, Disposition, Empty, FastTrackConfig, Provenance,
-    ReadHistory, Stats, ThreadState, VarState, VolatileClock, Warning, WarningKind,
+    ReadHistory, Stats, SyncCore, VarState, Warning, WarningKind,
 };
 use ft_clock::{Epoch, Tid, VcPool, VectorClock};
 use ft_obs::Snapshot;
-use ft_trace::{AccessKind, LockId, Op, Prng, Trace, VarId};
+use ft_trace::{AccessKind, Op, Prng, Trace, VarId};
 use std::time::Instant;
 
 /// Configuration for the [`Sampler`] detector.
@@ -113,11 +114,6 @@ pub struct SamplerConfig {
     pub overhead_budget_pct: f64,
     /// Report every sampled race instead of at most one per variable.
     pub report_all: bool,
-    /// Disable the lazy epoch-only sync summary and copy lock clocks
-    /// eagerly at every release (the pre-lazy behaviour). Kept as the
-    /// measured baseline for `ft-bench --bin sync` and the agreement
-    /// property suite; reports are identical either way.
-    pub eager_sync: bool,
 }
 
 impl Default for SamplerConfig {
@@ -133,7 +129,6 @@ impl Default for SamplerConfig {
             rate: 0.001,
             overhead_budget_pct: 10.0,
             report_all: false,
-            eager_sync: false,
         }
     }
 }
@@ -166,12 +161,6 @@ impl SamplerConfig {
     /// Reports every sampled race instead of deduplicating per variable.
     pub fn with_report_all(mut self, report_all: bool) -> Self {
         self.report_all = report_all;
-        self
-    }
-
-    /// Switches lock-clock maintenance back to eager per-release copies.
-    pub fn with_eager_sync(mut self, eager_sync: bool) -> Self {
-        self.eager_sync = eager_sync;
         self
     }
 }
@@ -333,47 +322,6 @@ impl SampleTable {
     }
 }
 
-/// A lock's shadow state: the clock stored at the last release plus the
-/// releasing thread's epoch at that point.
-///
-/// The epoch enables FastTrack's O(1) acquire fast path: `L_m` is always a
-/// whole-clock *assignment* from the releaser (`L_m := C_r`), so an
-/// acquirer whose clock already covers the release epoch `(r, c)` must
-/// already dominate every entry of `L_m` — per-thread clocks only grow,
-/// and the only way `C_t[r] ≥ c` arises is via a synchronization chain
-/// from at or after that release. The join (and its clock traffic) is
-/// skipped entirely in that case, which covers re-acquisition by the same
-/// thread and the acquire half of `wait`.
-///
-/// # The epoch-only sync summary (`lazy`)
-///
-/// In the default lazy mode, a release does not copy `C_t` at all: it only
-/// records `rel = c@t` and marks the lock `lazy`. While lazy, the true
-/// `L_m` is *represented by* the owner `t`'s live clock capped at lane `t`
-/// to `c` — valid because the flush discipline below guarantees the
-/// owner's clock has only grown in its **own** lane since that release
-/// (which the cap undoes), so `cap(C_t_live, t→c) = C_t_at_release = L_m`.
-///
-/// The flush discipline: before any operation joins a *foreign* clock into
-/// a thread's clock (acquire miss, join, volatile read, fork into the
-/// child, barrier), that thread's lazily-owned locks are materialized via
-/// [`VectorClock::assign_capped`]. Between synchronization chains — the
-/// steady state of lock-dense programs — releases and re-acquires are both
-/// O(1) and touch no clock at all.
-struct LockState {
-    /// `L_m` when `!lazy`; stale (ignored) while `lazy`.
-    vc: VectorClock,
-    /// The owner's pre-increment epoch at the last release.
-    rel: Epoch,
-    /// `true` while `L_m` is summarized by `rel` + the owner's live clock.
-    lazy: bool,
-    /// Monotonic stamp bumped on every release. A thread whose
-    /// [`ThreadState::seen_lock`] entry equals it has already absorbed
-    /// this exact `L_m` — the one-compare acquire fast path that
-    /// [`Sampler::sync_fast`] runs inline in the dispatch loop.
-    version: u64,
-}
-
 /// The O(1)-samples race detector.
 ///
 /// Implements the shared [`Detector`] trait, so it is driven exactly like
@@ -382,23 +330,10 @@ struct LockState {
 pub struct Sampler {
     config: SamplerConfig,
     ft_config: FastTrackConfig,
-    threads: Vec<Option<ThreadState>>,
-    locks: Vec<Option<LockState>>,
-    volatiles: Vec<Option<VolatileClock>>,
-    /// Per-thread list of lock indices this thread lazily owns (may hold
-    /// stale entries after an ownership takeover; flush tolerates them).
-    pending: Vec<Vec<u32>>,
-    /// Reused `[FT BARRIER RELEASE]` join target.
-    barrier_scratch: VectorClock,
-    /// Foreign-entry join generation for the barrier epoch-rebuild skip
-    /// (see `FastTrack::barrier_release` in the core crate).
-    sync_gen: u64,
-    /// `sync_gen` snapshot at the end of the last barrier.
-    barrier_gen: u64,
-    /// Participant set of the last barrier.
-    barrier_parts: Vec<Tid>,
-    /// Cached `!config.eager_sync`.
-    lazy: bool,
+    /// Exact thread, lock, volatile and barrier clocks — the same
+    /// [`SyncCore`] FastTrack runs, so every sampled pair is judged against
+    /// the clocks FastTrack would use.
+    sync: SyncCore,
     vars: SampleTable,
     warnings: Vec<Warning>,
     warned: Vec<bool>,
@@ -450,19 +385,10 @@ impl Sampler {
         } else {
             0.0
         };
-        let lazy = !config.eager_sync;
         let mut sampler = Sampler {
             config,
             ft_config: FastTrackConfig::default(),
-            threads: Vec::new(),
-            locks: Vec::new(),
-            volatiles: Vec::new(),
-            pending: Vec::new(),
-            barrier_scratch: VectorClock::new(),
-            sync_gen: 0,
-            barrier_gen: u64::MAX,
-            barrier_parts: Vec::new(),
-            lazy,
+            sync: SyncCore::new(),
             vars: SampleTable::default(),
             warnings: Vec::new(),
             warned: Vec::new(),
@@ -593,9 +519,7 @@ impl Sampler {
             reads += is_read as u64;
             writes += is_write as u64;
             if !(is_read | is_write) {
-                if !self.sync_fast(op) {
-                    self.sync_op(op);
-                }
+                self.sync.apply_op(op, &mut self.stats);
                 continue;
             }
             if (reads == next_r) | (writes == next_w) {
@@ -640,23 +564,6 @@ impl Sampler {
         }
     }
 
-    /// Field-scoped thread lookup so callers can hold the returned
-    /// `&mut ThreadState` while still reading the (disjoint) lock and
-    /// volatile tables — one bounds check instead of the
-    /// ensure-then-reindex double lookup.
-    #[inline]
-    fn ensure_thread(threads: &mut Vec<Option<ThreadState>>, t: Tid) -> &mut ThreadState {
-        let idx = t.as_usize();
-        if idx >= threads.len() {
-            threads.resize_with(idx + 1, || None);
-        }
-        threads[idx].get_or_insert_with(|| ThreadState::new(t))
-    }
-
-    fn thread(&mut self, t: Tid) -> &mut ThreadState {
-        Self::ensure_thread(&mut self.threads, t)
-    }
-
     /// Redraws the admission threshold for `kind`'s stream from the
     /// current committed counter. Callers must redraw immediately on a
     /// threshold hit — that re-establishes the `threshold > counter`
@@ -671,522 +578,6 @@ impl Sampler {
             AccessKind::Write => {
                 self.next_write_admit = self.stats.writes.saturating_add(jump);
             }
-        }
-    }
-
-    /// Split borrow into the thread slab: mutable `dst`, shared `src`.
-    /// Both slots must be ensured and distinct.
-    #[inline]
-    fn thread_pair(
-        threads: &mut [Option<ThreadState>],
-        dst: usize,
-        src: usize,
-    ) -> (&mut ThreadState, &ThreadState) {
-        debug_assert_ne!(dst, src);
-        if dst < src {
-            let (lo, hi) = threads.split_at_mut(src);
-            (
-                lo[dst].as_mut().expect("ensured"),
-                hi[0].as_ref().expect("ensured"),
-            )
-        } else {
-            let (lo, hi) = threads.split_at_mut(dst);
-            (
-                hi[0].as_mut().expect("ensured"),
-                lo[src].as_ref().expect("ensured"),
-            )
-        }
-    }
-
-    /// `C_t := incₜ(C_t)`, epoch-only: bumps the cached epoch scalar and
-    /// leaves the vector-clock lane stale. Between synchronization chains
-    /// the sampler keeps each thread's own component as this scalar alone —
-    /// the per-release `vc.inc` + `epoch_of` round trip is the single
-    /// hottest instruction sequence on sync-dense traces. The lane is
-    /// written back by [`Sampler::sync_own_lane`] before anything actually
-    /// reads `C_t`.
-    ///
-    /// This deliberately breaks [`ThreadState`]'s `epoch == vc.epoch_of(tid)`
-    /// invariant *inside the sampler only*: here `epoch` is authoritative
-    /// and `vc`'s own lane lags it. Foreign lanes of `vc` are always exact.
-    #[inline]
-    fn bump_epoch(ts: &mut ThreadState) {
-        ts.epoch = Epoch::new(ts.tid, ts.epoch.clock() + 1);
-    }
-
-    /// Writes the authoritative epoch scalar back into `C_t`'s own lane.
-    /// Required before `C_t` is read as a join source, before
-    /// `refresh_epoch` (which would otherwise regress the epoch to the
-    /// stale lane), and before admission borrows the clock. NOT required
-    /// before [`Sampler::flush`] or a lazy-lock `join_capped`: both cap the
-    /// owner's lane back to the release clock, overwriting whatever was
-    /// there.
-    #[inline]
-    fn sync_own_lane(ts: &mut ThreadState) {
-        ts.vc.set(ts.tid, ts.epoch.clock());
-    }
-
-    /// Materializes every lock thread `t` still lazily owns (see
-    /// [`LockState`]): `L_m := cap(C_t, t → rel)` via
-    /// [`VectorClock::assign_capped`]. Must run before any foreign clock is
-    /// joined into `C_t` — acquire miss, join, volatile read, fork into
-    /// `t`, barrier — because after that the cap argument no longer
-    /// reconstructs the release-time clock. Entries whose lock was taken
-    /// over by another releaser are stale and skipped.
-    #[inline]
-    fn flush(&mut self, t: Tid) {
-        let idx = t.as_usize();
-        if idx >= self.pending.len() || self.pending[idx].is_empty() {
-            return;
-        }
-        self.flush_slow(t);
-    }
-
-    /// The non-empty-pending-list half of [`flush`](Self::flush).
-    #[inline(never)]
-    fn flush_slow(&mut self, t: Tid) {
-        let idx = t.as_usize();
-        let mut pend = std::mem::take(&mut self.pending[idx]);
-        let ts = self.threads[idx].as_ref().expect("owner exists");
-        for m in pend.drain(..) {
-            if let Some(Some(lk)) = self.locks.get_mut(m as usize) {
-                if lk.lazy && lk.rel.tid() == t {
-                    self.stats.vc_ops += 1; // the deferred O(n) copy
-                    lk.vc.assign_capped(&ts.vc, t, lk.rel.clock());
-                    lk.lazy = false;
-                }
-            }
-        }
-        self.pending[idx] = pend; // hand the emptied Vec's capacity back
-    }
-
-    /// Records that thread `t` lazily owns lock `m`, flushing first when
-    /// the pending list is full (a bound on stale-entry accumulation under
-    /// ownership ping-pong; real programs stay far below it).
-    fn note_pending(&mut self, t: Tid, m: usize) {
-        const PENDING_CAP: usize = 64;
-        let idx = t.as_usize();
-        if idx >= self.pending.len() {
-            self.pending.resize_with(idx + 1, Vec::new);
-        }
-        if self.pending[idx].len() >= PENDING_CAP {
-            self.flush(t);
-        }
-        self.pending[idx].push(m as u32);
-    }
-
-    /// `[FT ACQUIRE]`: `C_t := C_t ⊔ L_m`, with the O(1) release-epoch
-    /// fast path (see [`LockState`]) when the acquirer is already ordered
-    /// after the last release. The fast path is valid in lazy mode too:
-    /// while lazy, the true `L_m` equals the owner's release-time clock,
-    /// which the release epoch summarizes exactly as in the eager case.
-    ///
-    /// A never-released lock has no happens-before effect, so the handler
-    /// returns before even touching the thread table in that case —
-    /// [`ThreadState`] construction is deterministic and can happen at
-    /// whichever op first needs it.
-    fn acquire(&mut self, t: Tid, m: LockId) {
-        let idx = m.as_usize();
-        let Some(Some(lk)) = self.locks.get(idx) else {
-            return;
-        };
-        let ts = Self::ensure_thread(&mut self.threads, t);
-        // The version-stamp check also covers re-acquiring a lock this
-        // thread last released (its own lane in `vc` may lag `epoch`, so
-        // the `rel ⊑ C_t` test could spuriously miss there).
-        if ts.seen_lock(idx) == lk.version || lk.rel.happens_before(&ts.vc) {
-            self.stats.sync_fastpath_hits += 1;
-            ts.note_lock(idx, lk.version);
-            return;
-        }
-        self.stats.sync_slow_joins += 1;
-        self.acquire_slow(t, idx);
-    }
-
-    /// The acquire miss path: a genuine `C_t ⊔ L_m` join. Outlined so the
-    /// inline dispatcher stays small; callers have already counted the op
-    /// and the slow join.
-    #[inline(never)]
-    fn acquire_slow(&mut self, t: Tid, idx: usize) {
-        // The join mutates C_t with foreign entries, so t's own lazy locks
-        // must be written out first. The lock being acquired is never
-        // among them: a lazy lock owned by t would have hit the fast path
-        // (its last releaser was t, so the stamp matches).
-        let ts = self.threads[t.as_usize()].as_mut().expect("caller ensured");
-        Self::sync_own_lane(ts);
-        self.flush(t);
-        self.stats.vc_ops += 1;
-        self.sync_gen += 1;
-        let lk = self.locks[idx].as_ref().expect("caller checked");
-        let version = lk.version;
-        if lk.lazy {
-            // Join the owner's live clock with its own lane capped back to
-            // the release epoch — exactly L_m, with no clone and no
-            // materialization (the lock stays lazy for its owner).
-            let (r, c) = (lk.rel.tid(), lk.rel.clock());
-            let (ts, owner) = Self::thread_pair(&mut self.threads, t.as_usize(), r.as_usize());
-            ts.vc.join_capped(&owner.vc, r, c);
-            ts.refresh_epoch();
-            ts.note_lock(idx, version);
-        } else {
-            let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-            ts.vc.join(&lk.vc);
-            ts.refresh_epoch();
-            ts.note_lock(idx, version);
-        }
-    }
-
-    /// `[FT RELEASE]`: `L_m := C_t; C_t := incₜ(C_t)`.
-    ///
-    /// In lazy mode (the default) the clock copy is deferred: the release
-    /// records only the pre-increment epoch. Re-releasing a lock this
-    /// thread already lazily owns — the steady state of a lock-dense loop —
-    /// is a pure O(1) renewal with no clock traffic at all. In eager mode
-    /// the pre-lazy per-release O(n) copy runs unchanged.
-    fn release(&mut self, t: Tid, m: LockId) {
-        let idx = m.as_usize();
-        let ts = Self::ensure_thread(&mut self.threads, t);
-        let rel = ts.epoch;
-        if self.lazy {
-            match self.locks.get_mut(idx) {
-                Some(Some(lk)) if lk.lazy && lk.rel.tid() == t => {
-                    // O(1) renewal; already in t's pending list.
-                    lk.rel = rel;
-                    lk.version += 1;
-                    ts.note_lock(idx, lk.version);
-                    Self::bump_epoch(ts);
-                }
-                Some(Some(lk)) => {
-                    // Takeover (or re-lazying a materialized lock): the old
-                    // owner's pending entry, if any, goes stale.
-                    lk.rel = rel;
-                    lk.lazy = true;
-                    lk.version += 1;
-                    ts.note_lock(idx, lk.version);
-                    Self::bump_epoch(ts);
-                    self.note_pending(t, idx);
-                }
-                _ => {
-                    // First release: the logical L_m allocation (Table 2
-                    // semantics) — the placeholder clock stays empty until
-                    // a flush materializes it.
-                    ts.note_lock(idx, 1);
-                    Self::bump_epoch(ts);
-                    self.stats.vc_allocated += 1;
-                    if idx >= self.locks.len() {
-                        self.locks.resize_with(idx + 1, || None);
-                    }
-                    self.locks[idx] = Some(LockState {
-                        vc: VectorClock::new(),
-                        rel,
-                        lazy: true,
-                        version: 1,
-                    });
-                    self.note_pending(t, idx);
-                }
-            }
-            return;
-        }
-        Self::sync_own_lane(ts);
-        self.stats.vc_ops += 1;
-        match self.locks.get_mut(idx) {
-            Some(Some(lk)) => {
-                lk.vc.assign(&ts.vc);
-                lk.rel = rel;
-                lk.lazy = false;
-                lk.version += 1;
-                ts.note_lock(idx, lk.version);
-            }
-            Some(slot @ None) => {
-                self.stats.vc_allocated += 1;
-                ts.note_lock(idx, 1);
-                *slot = Some(LockState {
-                    vc: ts.vc.clone(),
-                    rel,
-                    lazy: false,
-                    version: 1,
-                });
-            }
-            None => {
-                self.stats.vc_allocated += 1;
-                ts.note_lock(idx, 1);
-                let vc = ts.vc.clone();
-                self.locks.resize_with(idx + 1, || None);
-                self.locks[idx] = Some(LockState {
-                    vc,
-                    rel,
-                    lazy: false,
-                    version: 1,
-                });
-            }
-        }
-        let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-        Self::bump_epoch(ts);
-    }
-
-    /// `[FT FORK]`: `C_u := C_u ⊔ C_t; C_t := incₜ(C_t)` — clone-free, and
-    /// the *child*'s lazy locks flush first (its clock gains foreign
-    /// entries; the parent's clock is only read).
-    fn fork(&mut self, t: Tid, u: Tid) {
-        self.thread(t);
-        self.thread(u);
-        self.flush(u);
-        self.stats.vc_ops += 1;
-        if t != u {
-            self.sync_gen += 1;
-            // Both own lanes must be exact: `t`'s because `u` absorbs it,
-            // `u`'s because the join below feeds `refresh_epoch`.
-            Self::sync_own_lane(self.threads[t.as_usize()].as_mut().expect("ensured"));
-            let (us, ct) = Self::thread_pair(&mut self.threads, u.as_usize(), t.as_usize());
-            Self::sync_own_lane(us);
-            us.vc.join(&ct.vc);
-            us.refresh_epoch();
-        }
-        let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-        Self::bump_epoch(ts);
-    }
-
-    /// `[FT JOIN]`: `C_t := C_t ⊔ C_u; C_u := inc_u(C_u)` — clone-free; the
-    /// joiner's lazy locks flush first.
-    fn join(&mut self, t: Tid, u: Tid) {
-        self.thread(t);
-        self.thread(u);
-        self.flush(t);
-        self.stats.vc_ops += 1;
-        if t != u {
-            self.sync_gen += 1;
-            // Both own lanes must be exact: `u`'s because `t` absorbs it,
-            // `t`'s because the join below feeds `refresh_epoch`.
-            Self::sync_own_lane(self.threads[u.as_usize()].as_mut().expect("ensured"));
-            let (ts, cu) = Self::thread_pair(&mut self.threads, t.as_usize(), u.as_usize());
-            Self::sync_own_lane(ts);
-            ts.vc.join(&cu.vc);
-            ts.refresh_epoch();
-        }
-        let us = self.threads[u.as_usize()].as_mut().expect("ensured");
-        Self::bump_epoch(us);
-    }
-
-    /// `[FT READ VOLATILE]`: `C_t := C_t ⊔ L_vx` (§4). No release-epoch
-    /// shortcut exists (a volatile's clock is a *join* of every writer),
-    /// but the seen-version stamp skips a re-join of an unchanged clock.
-    fn volatile_read(&mut self, t: Tid, x: VarId) {
-        let idx = x.as_usize();
-        let Some(Some(lv)) = self.volatiles.get(idx) else {
-            return;
-        };
-        let ts = Self::ensure_thread(&mut self.threads, t);
-        if ts.seen_volatile(idx) == lv.version {
-            self.stats.sync_fastpath_hits += 1;
-            return;
-        }
-        self.stats.sync_slow_joins += 1;
-        self.flush(t); // C_t is about to gain foreign entries
-        self.stats.vc_ops += 1;
-        self.sync_gen += 1;
-        let lv = self.volatiles[idx].as_ref().expect("checked above");
-        let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-        Self::sync_own_lane(ts); // the join below feeds refresh_epoch
-        ts.vc.join(&lv.vc);
-        ts.refresh_epoch();
-        ts.note_volatile(idx, lv.version);
-    }
-
-    /// `[FT WRITE VOLATILE]`: `L_vx := C_t ⊔ L_vx; C_t := incₜ(C_t)` (§4).
-    /// No flush: the writer's clock is only read, then bumped in its own
-    /// lane.
-    fn volatile_write(&mut self, t: Tid, x: VarId) {
-        let idx = x.as_usize();
-        if idx >= self.volatiles.len() {
-            self.volatiles.resize_with(idx + 1, || None);
-        }
-        let ts = Self::ensure_thread(&mut self.threads, t);
-        Self::sync_own_lane(ts); // C_t is read as a join source below
-        self.stats.vc_ops += 1;
-        match &mut self.volatiles[idx] {
-            Some(lv) => {
-                lv.vc.join(&ts.vc);
-                lv.version += 1;
-            }
-            slot @ None => {
-                self.stats.vc_allocated += 1;
-                *slot = Some(VolatileClock::new(ts.vc.clone()));
-            }
-        }
-        Self::bump_epoch(ts);
-    }
-
-    /// `[FT BARRIER RELEASE]`: every `t ∈ T` gets
-    /// `C_t := incₜ(⊔_{u∈T} C_u)` (§4). Every participant's clock is
-    /// overwritten with foreign entries, so all participants flush first;
-    /// the join target is the detector-lifetime scratch clock.
-    ///
-    /// In the steady state (same participants, no foreign-entry joins since
-    /// the previous barrier) the joined clock is rebuilt from per-thread
-    /// epochs in O(|T|) lane writes — see `FastTrack::barrier_release` in
-    /// the core crate for the argument; the sampler's own-lane-lazy clocks
-    /// make the epoch (not the clock lane) the authoritative own-lane
-    /// value, which is exactly what the rebuild reads.
-    fn barrier_release(&mut self, threads: &[Tid]) {
-        let epoch_rebuild = self.barrier_gen == self.sync_gen
-            && self.barrier_parts == threads
-            && !threads.is_empty();
-        let mut joined = std::mem::take(&mut self.barrier_scratch);
-        if epoch_rebuild {
-            self.stats.sync_fastpath_hits += 1;
-            for &u in threads {
-                // The assign below overwrites C_u with foreign entries, so
-                // u's lazy locks must still freeze first.
-                self.flush(u);
-                let e = self.threads[u.as_usize()]
-                    .as_ref()
-                    .expect("participant")
-                    .epoch;
-                joined.set(u, e.clock());
-            }
-        } else {
-            joined.clear();
-            for &u in threads {
-                self.thread(u);
-                self.flush(u);
-                self.stats.vc_ops += 1;
-                let us = self.threads[u.as_usize()].as_mut().expect("ensured");
-                Self::sync_own_lane(us); // C_u is a join source
-                joined.join(&us.vc);
-            }
-        }
-        for &t in threads {
-            self.stats.vc_ops += 1;
-            let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-            ts.vc.assign(&joined);
-            ts.inc();
-        }
-        self.barrier_scratch = joined;
-        self.barrier_gen = self.sync_gen;
-        if self.barrier_parts != threads {
-            self.barrier_parts.clear();
-            self.barrier_parts.extend_from_slice(threads);
-        }
-    }
-
-    /// The inline sync fast lane: handles the two overwhelmingly common
-    /// sync shapes — re-acquiring a lock whose release the thread already
-    /// absorbed (one version-stamp compare) and renewing a lazy release the
-    /// thread already owns (epoch + stamp store) — without leaving the
-    /// dispatch loop. Returns `false` to route everything else (stamp
-    /// misses, first releases, forks/joins/volatiles/barriers) to the
-    /// outlined [`sync_op`](Self::sync_op) path.
-    ///
-    /// The acquire arm is sound because a matching stamp means the thread's
-    /// clock already dominates this exact `L_m` (it noted the version when
-    /// it last joined or produced it), so `C_t ⊔ L_m = C_t`. The release
-    /// arm is the same O(1) renewal as [`release`](Self::release)'s first
-    /// match arm, minus the dispatch.
-    #[inline]
-    fn sync_fast(&mut self, op: &Op) -> bool {
-        match *op {
-            Op::Acquire(t, m) => {
-                let idx = m.as_usize();
-                let Some(Some(lk)) = self.locks.get(idx) else {
-                    // Never released: L_m is ⊥ and the join is a no-op.
-                    self.stats.sync_ops += 1;
-                    return true;
-                };
-                let Some(Some(ts)) = self.threads.get_mut(t.as_usize()) else {
-                    return false;
-                };
-                self.stats.sync_ops += 1;
-                if ts.seen_lock(idx) == lk.version {
-                    self.stats.sync_fastpath_hits += 1;
-                    return true;
-                }
-                if lk.rel.happens_before(&ts.vc) {
-                    self.stats.sync_fastpath_hits += 1;
-                    ts.note_lock(idx, lk.version);
-                    return true;
-                }
-                // Genuine join: go straight to the outlined miss path
-                // instead of re-dispatching (and re-testing) via `sync_op`.
-                self.stats.sync_slow_joins += 1;
-                self.acquire_slow(t, idx);
-                true
-            }
-            Op::Release(t, m) => {
-                // Any lazy-mode release of an existing lock is O(1): a
-                // renewal keeps the owner, a takeover just moves the
-                // epoch/owner and leaves the previous owner's pending entry
-                // to go stale (version mismatch). Only the very first
-                // release of a lock (the L_m allocation) and eager-mode
-                // releases need the outlined path.
-                if !self.lazy {
-                    return false;
-                }
-                let idx = m.as_usize();
-                let Some(Some(lk)) = self.locks.get_mut(idx) else {
-                    return false;
-                };
-                let Some(Some(ts)) = self.threads.get_mut(t.as_usize()) else {
-                    return false;
-                };
-                let renewal = lk.lazy && lk.rel.tid() == t;
-                lk.rel = ts.epoch;
-                lk.version += 1;
-                lk.lazy = true;
-                ts.note_lock(idx, lk.version);
-                Self::bump_epoch(ts);
-                self.stats.sync_ops += 1;
-                if !renewal {
-                    self.note_pending(t, idx);
-                }
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The outlined sync-op path: full FastTrack vector-clock maintenance,
-    /// so the clocks consulted on admission are always exact.
-    #[inline(never)]
-    fn sync_op(&mut self, op: &Op) {
-        match *op {
-            Op::Acquire(t, m) => {
-                self.stats.sync_ops += 1;
-                self.acquire(t, m);
-            }
-            Op::Release(t, m) => {
-                self.stats.sync_ops += 1;
-                self.release(t, m);
-            }
-            Op::Fork(t, u) => {
-                self.stats.sync_ops += 1;
-                self.fork(t, u);
-            }
-            Op::Join(t, u) => {
-                self.stats.sync_ops += 1;
-                self.join(t, u);
-            }
-            Op::VolatileRead(t, x) => {
-                self.stats.sync_ops += 1;
-                self.volatile_read(t, x);
-            }
-            Op::VolatileWrite(t, x) => {
-                self.stats.sync_ops += 1;
-                self.volatile_write(t, x);
-            }
-            Op::Wait(t, m) => {
-                // §4: wait = release + subsequent acquire.
-                self.stats.sync_ops += 1;
-                self.release(t, m);
-                self.acquire(t, m);
-            }
-            Op::BarrierRelease(ref ts) => {
-                self.stats.sync_ops += 1;
-                self.barrier_release(ts);
-            }
-            Op::Notify(..) | Op::AtomicBegin(_) | Op::AtomicEnd(_) => {
-                // No happens-before effect (§4).
-            }
-            Op::Read(..) | Op::Write(..) => unreachable!("handled inline"),
         }
     }
 
@@ -1206,7 +597,7 @@ impl Sampler {
         if budget == 0 {
             return;
         }
-        self.thread(t);
+        self.sync.ensure_thread(t, &mut self.stats);
 
         // Replay the access against each retained conflicting sample through
         // `fasttrack::rules`, on a scratch single-sample VarState. The
@@ -1214,9 +605,7 @@ impl Sampler {
         // single epoch), so these calls allocate nothing. Races found are
         // staged locally because `report` needs `&mut self`; the buffer only
         // allocates when a race is actually present.
-        let ts = self.threads[t.as_usize()].as_mut().expect("ensured");
-        Self::sync_own_lane(ts); // rules below borrow C_t; its own lane may lag
-        let ts = self.threads[t.as_usize()].as_ref().expect("ensured");
+        let ts = self.sync.thread(t).expect("ensured");
         let epoch = ts.epoch;
         let mut races: Vec<(WarningKind, Epoch, AccessKind, &'static str)> = Vec::new();
         let var = self.vars.entry(x.as_u32());
@@ -1295,11 +684,7 @@ impl Sampler {
         }
 
         if !races.is_empty() {
-            let vc = self.threads[t.as_usize()]
-                .as_ref()
-                .expect("ensured")
-                .vc
-                .clone();
+            let vc = self.sync.thread(t).expect("ensured").vc.clone();
             for (warn_kind, conflict, prior_kind, rule) in races {
                 self.report(
                     index, x, warn_kind, conflict, prior_kind, t, kind, epoch, &vc, rule,
@@ -1369,8 +754,8 @@ impl Detector for Sampler {
     // The whole point of the tier is that this costs what EMPTY's dispatch
     // costs: a counter bump and one predictable threshold compare per
     // non-admitted access, in a body small enough that the call itself
-    // dominates — exactly like EMPTY's. Admission and synchronization live
-    // behind `#[inline(never)]` outlined paths to keep it that way.
+    // dominates — exactly like EMPTY's. Admission lives behind an
+    // `#[inline(never)]` outlined path to keep it that way.
     fn on_op(&mut self, index: usize, op: &Op) -> Disposition {
         self.stats.ops += 1;
         match *op {
@@ -1388,11 +773,7 @@ impl Detector for Sampler {
                     self.admit(index, t, x, AccessKind::Write);
                 }
             }
-            _ => {
-                if !self.sync_fast(op) {
-                    self.sync_op(op);
-                }
-            }
+            _ => self.sync.apply_op(op, &mut self.stats),
         }
         Disposition::Forward
     }
@@ -1406,32 +787,7 @@ impl Detector for Sampler {
     }
 
     fn shadow_bytes(&self) -> usize {
-        let vars = self.vars.heap_bytes();
-        let threads: usize = self
-            .threads
-            .iter()
-            .flatten()
-            .map(|ts| std::mem::size_of::<ThreadState>() + ts.vc.heap_bytes() + ts.seen_bytes())
-            .sum();
-        let locks: usize = self
-            .locks
-            .iter()
-            .flatten()
-            .map(|lk| std::mem::size_of::<LockState>() + lk.vc.heap_bytes())
-            .sum();
-        let syncs: usize = self
-            .volatiles
-            .iter()
-            .flatten()
-            .map(|lv| std::mem::size_of::<VolatileClock>() + lv.vc.heap_bytes())
-            .sum::<usize>()
-            + locks;
-        let pending: usize = self
-            .pending
-            .iter()
-            .map(|p| p.capacity() * std::mem::size_of::<u32>())
-            .sum();
-        vars + threads + syncs + pending
+        self.vars.heap_bytes() + self.sync.shadow_bytes()
     }
 
     fn rule_breakdown(&self) -> Vec<fasttrack::RuleCount> {
@@ -1470,7 +826,7 @@ impl Detector for Sampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_trace::TraceBuilder;
+    use ft_trace::{LockId, TraceBuilder};
 
     const T0: Tid = Tid::new(0);
     const T1: Tid = Tid::new(1);
@@ -1527,7 +883,7 @@ mod tests {
     }
 
     #[test]
-    fn fork_join_ordering_is_respected() {
+    fn writes_ordered_by_fork_and_join_do_not_warn() {
         let mut b = TraceBuilder::new();
         b.write(T0, X).unwrap();
         b.push(Op::Fork(T0, T1)).unwrap();
@@ -1591,66 +947,11 @@ mod tests {
     }
 
     #[test]
-    fn lazy_and_eager_sync_agree_bit_for_bit() {
-        // The epoch-only sync summary must be observationally identical to
-        // eager per-release clock copies: same warnings (order included),
-        // same admissions, same rule breakdown — across sync-dense shapes.
-        use ft_trace::gen::{chaotic, generate, GenConfig};
-        let mut shapes: Vec<Trace> = Vec::new();
-        for seed in 0..24 {
-            shapes.push(generate(
-                &GenConfig {
-                    threads: 4,
-                    vars: 16,
-                    locks: 4,
-                    ops: 1500,
-                    accesses_per_cs: 1,
-                    p_barrier: 0.02,
-                    p_volatile: 0.05,
-                    ..GenConfig::default()
-                },
-                seed,
-            ));
-            shapes.push(chaotic(4, 12, 3, 1200, 1000 + seed));
-        }
-        for (i, trace) in shapes.iter().enumerate() {
-            let cfg = SamplerConfig::default().with_rate(1.0).with_seed(7);
-            let mut lazy = Sampler::with_config(cfg.clone().with_eager_sync(false));
-            let mut eager = Sampler::with_config(cfg.with_eager_sync(true));
-            lazy.run(trace);
-            eager.run(trace);
-            assert_eq!(lazy.warnings(), eager.warnings(), "shape {i}");
-            assert_eq!(lazy.admitted(), eager.admitted(), "shape {i}");
-            assert_eq!(lazy.rule_breakdown(), eager.rule_breakdown(), "shape {i}");
-        }
-    }
-
-    #[test]
-    fn lazy_release_renewal_does_no_clock_work() {
-        // One thread hammering its own lock: after the first release, every
-        // acquire fast-hits and every release is an O(1) epoch renewal —
-        // zero vector-clock operations for the whole loop.
-        let m = LockId::new(0);
-        let mut b = TraceBuilder::with_threads(1);
-        for _ in 0..100 {
-            b.push(Op::Acquire(T0, m)).unwrap();
-            b.push(Op::Release(T0, m)).unwrap();
-        }
-        let trace = b.finish();
-        let mut s = Sampler::with_config(SamplerConfig::default().with_rate(0.0));
-        s.run(&trace);
-        assert_eq!(s.stats().vc_ops, 0);
-        assert_eq!(s.stats().vc_allocated, 1, "one logical L_m allocation");
-        assert_eq!(s.stats().sync_fastpath_hits, 99, "all re-acquires hit");
-        assert_eq!(s.stats().sync_slow_joins, 0);
-    }
-
-    #[test]
-    fn lazy_locks_flush_before_foreign_joins() {
-        // T0 releases m lazily, then T1's acquire must observe the
-        // release-time clock (not T0's later growth): T0 writes x inside
-        // the critical section and again after the release; T1's read of x
-        // is ordered only with the first write.
+    fn only_the_critical_section_orders_the_read() {
+        // T1's acquire must observe T0's release-time clock, not T0's
+        // later growth: T0 writes x inside the critical section and y
+        // after the release; T1's read of x is ordered with the first
+        // write, its read of y with nothing.
         let m = LockId::new(0);
         let y = VarId::new(1);
         let mut b = TraceBuilder::with_threads(2);

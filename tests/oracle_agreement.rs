@@ -7,10 +7,10 @@
 //! those optimisations against full vector clocks at every sync operation.
 //!
 //! Populations: generated racy, race-free and chaotic traces, a thread and
-//! variable shape sweep, the sync-dense and barrier-heavy populations of
-//! `sync_fastpath_agreement.rs`, and one fixed trace that uses every sync
-//! operation kind. The file also checks FastTrack's own provenance
-//! invariants on every warning it reports.
+//! variable shape sweep, sync-dense and barrier-heavy populations (which
+//! also assert the sync fast lane actually fires there), and one fixed
+//! trace that uses every sync operation kind. The file also checks
+//! FastTrack's own provenance invariants on every warning it reports.
 
 use fasttrack_suite::clock::Tid;
 use fasttrack_suite::core::{Detector, FastTrack};
@@ -35,9 +35,16 @@ fn assert_oracles_agree(trace: &Trace, label: &str) -> Vec<VarId> {
     ft
 }
 
-/// Sync-dense generator shape, as in `sync_fastpath_agreement.rs`: every
-/// access sits in its own critical section, and barriers and volatiles are
-/// orders of magnitude more frequent than in the paper's mix.
+/// FastTrack's sync fast-lane tallies on `trace`: `(hits, slow joins)`.
+fn fast_lane(trace: &Trace) -> (u64, u64) {
+    let mut ft = FastTrack::new();
+    ft.run(trace);
+    (ft.stats().sync_fastpath_hits, ft.stats().sync_slow_joins)
+}
+
+/// Sync-dense generator shape: every access sits in its own critical
+/// section, and barriers and volatiles are orders of magnitude more
+/// frequent than in the paper's mix.
 fn sync_dense(threads: u32, seed_races: f64) -> GenConfig {
     GenConfig {
         threads,
@@ -107,9 +114,13 @@ fn shape_sweep_agrees() {
 }
 
 /// ~800 sync-dense traces (racy, race-free, chaotic and 16-thread shapes):
-/// the regime where the sync fast lane fires on most acquires.
+/// the regime where the sync fast lane fires on most acquires. A
+/// population this sync-dense with a ~0% hit rate means the fast lane was
+/// silently disabled, which agreement alone would never catch.
 #[test]
 fn sync_dense_population_agrees() {
+    let mut hits = 0u64;
+    let mut slow = 0u64;
     for seed in 0..200u64 {
         for (shape, trace) in [
             ("racy", gen::generate(&sync_dense(4, 0.1), seed)),
@@ -118,14 +129,25 @@ fn sync_dense_population_agrees() {
             ("wide", gen::generate(&sync_dense(16, 0.05), 20_000 + seed)),
         ] {
             assert_oracles_agree(&trace, &format!("{shape} seed {seed}"));
+            let (h, s) = fast_lane(&trace);
+            hits += h;
+            slow += s;
         }
     }
+    let rate = hits as f64 / (hits + slow).max(1) as f64;
+    assert!(
+        rate > 0.10,
+        "sync fast lane barely fires on a sync-dense population: \
+         {hits} hits / {slow} slow joins ({:.1}%)",
+        rate * 100.0
+    );
 }
 
 /// Barrier-heavy shape aimed at FastTrack's barrier epoch rebuild: long
 /// runs of barrier episodes with little lock traffic.
 #[test]
 fn barrier_heavy_population_agrees() {
+    let mut hits = 0u64;
     for seed in 0..100u64 {
         let cfg = GenConfig {
             threads: 8,
@@ -142,7 +164,12 @@ fn barrier_heavy_population_agrees() {
         };
         let trace = gen::generate(&cfg, 90_000 + seed);
         assert_oracles_agree(&trace, &format!("barrier seed {seed}"));
+        hits += fast_lane(&trace).0;
     }
+    assert!(
+        hits > 0,
+        "no fast-path hits across the barrier-heavy population"
+    );
 }
 
 /// Seeded provenance property: every warning FastTrack emits must carry a

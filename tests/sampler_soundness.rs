@@ -18,19 +18,32 @@
 //!    two drivers (the skip-counting `replay` loop and per-op `run`
 //!    dispatch), which consume the split gap/reservoir RNG streams in the
 //!    same order by construction.
+//! 5. **One sync core** — the sampler and FastTrack run the same
+//!    `fasttrack::sync` core, so on every trace they count the same sync
+//!    ops, fast-path hits and slow joins.
 
-use fasttrack_suite::core::{Detector, FastTrack};
+use fasttrack_suite::core::{Detector, FastTrack, Stats};
 use fasttrack_suite::sampler::{Sampler, SamplerConfig};
 use fasttrack_suite::trace::gen::{self, GenConfig};
 use fasttrack_suite::trace::{Trace, VarId};
 
-fn fasttrack_race_vars(trace: &Trace) -> Vec<VarId> {
+/// Runs FastTrack over `trace`; returns its racy variables and its stats.
+fn fasttrack_reference(trace: &Trace) -> (Vec<VarId>, Stats) {
     let mut ft = FastTrack::new();
     ft.run(trace);
     let mut vars: Vec<VarId> = ft.warnings().iter().map(|w| w.var).collect();
     vars.sort();
     vars.dedup();
-    vars
+    (vars, ft.stats().clone())
+}
+
+fn assert_same_sync_work(ft: &Stats, sampler: &Sampler, label: &str) {
+    let s = sampler.stats();
+    assert_eq!(
+        (s.sync_ops, s.sync_fastpath_hits, s.sync_slow_joins),
+        (ft.sync_ops, ft.sync_fastpath_hits, ft.sync_slow_joins),
+        "{label}: sampler and FastTrack sync tallies differ"
+    );
 }
 
 /// Rate 1.0 admits every access so the subset property is stressed with
@@ -43,9 +56,10 @@ fn eager(seed: u64, budget: usize) -> SamplerConfig {
 }
 
 fn assert_subset_with_provenance(trace: &Trace, config: SamplerConfig, label: &str) {
-    let known = fasttrack_race_vars(trace);
+    let (known, ft_stats) = fasttrack_reference(trace);
     let mut sampler = Sampler::with_config(config);
     sampler.replay(trace);
+    assert_same_sync_work(&ft_stats, &sampler, label);
     for w in sampler.warnings() {
         assert!(
             known.binary_search(&w.var).is_ok(),
@@ -104,6 +118,8 @@ fn sampler_warnings_are_a_subset_of_fasttrack() {
         let trace = gen::generate(&clean, seed);
         let mut sampler = Sampler::with_config(eager(seed, 4));
         sampler.replay(&trace);
+        let (_, ft_stats) = fasttrack_reference(&trace);
+        assert_same_sync_work(&ft_stats, &sampler, &format!("race-free seed {seed}"));
         assert!(
             sampler.warnings().is_empty(),
             "race-free seed {seed}: sampler warned on a race-free trace: {:?}",
