@@ -62,11 +62,11 @@ pub struct FastTrackConfig {
     /// keeps the gauges live but never degrades.
     pub guard: Option<GuardConfig>,
     /// Flight recorder (see [`crate::flight`]): keep the last *k* events of
-    /// every thread and drain them into each warning's provenance. `None`
-    /// (the default) keeps the fused fast paths structurally unchanged —
-    /// when enabled, every event takes the governed path so it can be
-    /// recorded, trading throughput for post-mortem context. Ring bytes are
-    /// charged to the guard budget when one is configured.
+    /// every thread and drain them into each warning's provenance. Each
+    /// event is recorded once, where it is dispatched, so the recorder
+    /// observes the analysis without choosing its tier: accesses still take
+    /// the inline fast paths. Ring bytes are charged to the guard budget
+    /// when one is configured.
     pub recorder: Option<RecorderConfig>,
     /// Record per-tier latency histograms (`tier.*.ns`) for the out-of-line
     /// tiers and per-block latency for the fused loop. Tier *hit* counters
@@ -83,7 +83,8 @@ pub struct FastTrackConfig {
 /// 3. **pre-ensured** — the lean out-of-line path (shadow state proven to
 ///    exist, guard off);
 /// 4. **governed** — the full path with ensure/sampling/guard accounting
-///    (always taken under a guard, a flight recorder, or `on_op` dispatch).
+///    (always taken under a guard, under the same-epoch ablation, and by
+///    `on_op` dispatch).
 ///
 /// Exposed via [`Detector::metrics`] as `tier.*.hits` counters and by
 /// `ftrace profile --tiers`.
@@ -342,51 +343,18 @@ impl FastTrack {
         }
     }
 
-    /// Records one access into the flight recorder, charging newly
-    /// allocated ring bytes to the guard budget.
+    /// Records one event into the flight recorder (a no-op when it is
+    /// off), charging a newly allocated ring to the guard budget. Called
+    /// once per event, where it is dispatched, before it is analyzed — so a
+    /// warning's tail ends at the racy access.
     #[inline]
-    fn record_access(&mut self, index: usize, kind: u8, t: Tid, x: VarId) {
+    fn record(&mut self, index: usize, kind: u8, t: Tid, a: u32, parties: &[Tid]) {
         if let Some(rec) = self.recorder.as_mut() {
-            let charged = rec.record_raw(t, index as u64, kind, x.as_u32());
+            let charged = rec.record(index as u64, kind, t, a, parties);
             if charged > 0 {
                 if let Some(g) = self.guard.as_mut() {
                     g.charge(charged);
                 }
-            }
-        }
-    }
-
-    /// Records a decoded non-access op into the flight recorder.
-    fn record_op(&mut self, index: usize, op: &Op) {
-        if let Some(rec) = self.recorder.as_mut() {
-            let charged = rec.record_op(index as u64, op);
-            if charged > 0 {
-                if let Some(g) = self.guard.as_mut() {
-                    g.charge(charged);
-                }
-            }
-        }
-    }
-
-    /// Records one raw sync/marker event from an [`EventBlock`]; barrier
-    /// releases are attributed to every party.
-    fn record_block_sync(&mut self, index: usize, block: &EventBlock, kind: u8, t: Tid, a: u32) {
-        let Some(rec) = self.recorder.as_mut() else {
-            return;
-        };
-        let charged = if kind == opcode::BARRIER {
-            let parties = block.barrier(a);
-            let n = parties.len() as u32;
-            parties
-                .iter()
-                .map(|&p| rec.record_raw(p, index as u64, opcode::BARRIER, n))
-                .sum()
-        } else {
-            rec.record_raw(t, index as u64, kind, a)
-        };
-        if charged > 0 {
-            if let Some(g) = self.guard.as_mut() {
-                g.charge(charged);
             }
         }
     }
@@ -416,7 +384,6 @@ impl FastTrack {
 
     fn read_governed(&mut self, index: usize, t: Tid, x: VarId) {
         self.stats.reads += 1;
-        self.record_access(index, opcode::READ, t, x);
         if self.sampled_out(x) {
             return;
         }
@@ -480,7 +447,6 @@ impl FastTrack {
 
     fn write_governed(&mut self, index: usize, t: Tid, x: VarId) {
         self.stats.writes += 1;
-        self.record_access(index, opcode::WRITE, t, x);
         if self.sampled_out(x) {
             return;
         }
@@ -886,22 +852,19 @@ impl Detector for FastTrack {
 
     fn on_op(&mut self, index: usize, op: &Op) -> Disposition {
         self.stats.ops += 1;
-        match *op {
-            Op::Read(t, x) => {
-                self.read(index, t, x);
-                self.access_disposition(x)
+        let (kind, t, a, parties) = op.raw();
+        self.record(index, kind, t, a, parties);
+        match kind {
+            opcode::READ => {
+                self.read(index, t, VarId::new(a));
+                self.access_disposition(VarId::new(a))
             }
-            Op::Write(t, x) => {
-                self.write(index, t, x);
-                self.access_disposition(x)
+            opcode::WRITE => {
+                self.write(index, t, VarId::new(a));
+                self.access_disposition(VarId::new(a))
             }
             _ => {
-                // Accesses are recorded inside `read`/`write` (which also
-                // serve the fused loops); everything else is recorded here.
-                if self.recorder.is_some() {
-                    self.record_op(index, op);
-                }
-                self.sync.apply_op(op, &mut self.stats);
+                self.sync.apply(kind, t, a, parties, &mut self.stats);
                 Disposition::Forward
             }
         }
@@ -910,32 +873,11 @@ impl Detector for FastTrack {
     fn on_block(&mut self, base_index: usize, block: &EventBlock) {
         let t0 = self.tier_lat.as_ref().map(|_| Instant::now());
         self.stats.ops += block.len() as u64;
-        let tiers = self.inline_tiers();
-        let mut tally = InlineTally::default();
-        for i in 0..block.len() {
-            let kind = block.kind(i);
-            let t = block.tid(i);
-            let a = block.arg(i);
-            // Accesses dominate real traces (~97%, Table 2), so they are
-            // dispatched before the sync match and skip `Op`
-            // reconstruction entirely.
-            if kind == opcode::READ {
-                self.access::<false>(base_index + i, t, VarId::new(a), tiers, &mut tally);
-            } else if kind == opcode::WRITE {
-                self.access::<true>(base_index + i, t, VarId::new(a), tiers, &mut tally);
-            } else {
-                if self.recorder.is_some() {
-                    self.record_block_sync(base_index + i, block, kind, t, a);
-                }
-                let parties = if kind == opcode::BARRIER {
-                    block.barrier(a)
-                } else {
-                    &[]
-                };
-                self.sync.apply(kind, t, a, parties, &mut self.stats);
-            }
+        if self.recorder.is_some() {
+            self.block_loop::<true>(base_index, block);
+        } else {
+            self.block_loop::<false>(base_index, block);
         }
-        self.flush_tally(tally);
         if let Some(t0) = t0 {
             let ns = t0.elapsed().as_nanos() as u64;
             if let Some(lat) = self.tier_lat.as_mut() {
@@ -945,32 +887,11 @@ impl Detector for FastTrack {
     }
 
     fn run(&mut self, trace: &Trace) {
-        // The fused whole-trace loop: the same inline tiers as `on_block`,
-        // accesses skip the prefilter-disposition lookup, and everything
-        // else falls back to `on_op`. Events are consumed straight off the
-        // slice — copying them into an `EventBlock` first would cost more
-        // than the fused dispatch saves (blocks earn their keep when the
-        // *decoder* fills them, as in the `.ftb` streaming path).
-        let tiers = self.inline_tiers();
-        let mut tally = InlineTally::default();
-        let mut accesses = 0u64;
-        for (index, op) in trace.events().iter().enumerate() {
-            match *op {
-                Op::Read(t, x) => {
-                    accesses += 1;
-                    self.access::<false>(index, t, x, tiers, &mut tally);
-                }
-                Op::Write(t, x) => {
-                    accesses += 1;
-                    self.access::<true>(index, t, x, tiers, &mut tally);
-                }
-                _ => {
-                    self.on_op(index, op);
-                }
-            }
+        if self.recorder.is_some() {
+            self.run_loop::<true>(trace);
+        } else {
+            self.run_loop::<false>(trace);
         }
-        self.stats.ops += accesses;
-        self.flush_tally(tally);
     }
 
     fn warnings(&self) -> &[Warning] {
@@ -1041,15 +962,78 @@ struct InlineTally {
 }
 
 impl FastTrack {
+    /// The fused loop of `on_block`. The loops are compiled once per
+    /// `RECORD` (flight recorder on or off), so the recorder-off loop
+    /// carries no recording code.
+    fn block_loop<const RECORD: bool>(&mut self, base_index: usize, block: &EventBlock) {
+        let tiers = self.inline_tiers();
+        let mut tally = InlineTally::default();
+        for i in 0..block.len() {
+            let kind = block.kind(i);
+            let t = block.tid(i);
+            let a = block.arg(i);
+            // Accesses dominate real traces (~97%, Table 2), so they are
+            // dispatched before the sync match and skip `Op`
+            // reconstruction entirely.
+            if kind == opcode::READ {
+                let x = VarId::new(a);
+                self.access::<false, RECORD>(base_index + i, t, x, tiers, &mut tally);
+            } else if kind == opcode::WRITE {
+                let x = VarId::new(a);
+                self.access::<true, RECORD>(base_index + i, t, x, tiers, &mut tally);
+            } else {
+                let parties = if kind == opcode::BARRIER {
+                    block.barrier(a)
+                } else {
+                    &[]
+                };
+                if RECORD {
+                    self.record(base_index + i, kind, t, a, parties);
+                }
+                self.sync.apply(kind, t, a, parties, &mut self.stats);
+            }
+        }
+        self.flush_tally(tally);
+    }
+
+    /// The fused whole-trace loop of `run`: the same inline tiers as
+    /// `on_block`, accesses skip the prefilter-disposition lookup, and
+    /// everything else falls back to `on_op`. Events are consumed straight
+    /// off the slice — copying them into an `EventBlock` first would cost
+    /// more than the fused dispatch saves (blocks earn their keep when the
+    /// *decoder* fills them, as in the `.ftb` streaming path).
+    fn run_loop<const RECORD: bool>(&mut self, trace: &Trace) {
+        let tiers = self.inline_tiers();
+        let mut tally = InlineTally::default();
+        let mut accesses = 0u64;
+        for (index, op) in trace.events().iter().enumerate() {
+            match *op {
+                Op::Read(t, x) => {
+                    accesses += 1;
+                    self.access::<false, RECORD>(index, t, x, tiers, &mut tally);
+                }
+                Op::Write(t, x) => {
+                    accesses += 1;
+                    self.access::<true, RECORD>(index, t, x, tiers, &mut tally);
+                }
+                _ => {
+                    self.on_op(index, op);
+                }
+            }
+        }
+        self.stats.ops += accesses;
+        self.flush_tally(tally);
+    }
+
     /// Which inline tiers the fused loops may take: `(same_epoch,
     /// exclusive)`.
     ///
     /// With no guard to account to, a same-epoch hit has no observable
     /// effect beyond two counters — the check can run on the raw lanes
     /// before any of the per-access setup (`thread`/`var` ensures, guard
-    /// bookkeeping, disposition) is paid. A flight recorder must see every
-    /// event, so it forces the governed path the same way a guard does —
-    /// leaving the recorder-disabled loop structurally unchanged.
+    /// bookkeeping, disposition) is paid. A flight recorder does not change
+    /// this: it records each access before the probe, whichever tier then
+    /// serves it.
     ///
     /// The race-free `[FT READ/WRITE EXCLUSIVE]` case is two
     /// epoch-vs-clock compares and one store, so it runs inline too; only
@@ -1057,8 +1041,7 @@ impl FastTrack {
     /// ablation inflates on first read, so it must take the full rule
     /// body.)
     fn inline_tiers(&self) -> (bool, bool) {
-        let fast =
-            self.guard.is_none() && self.recorder.is_none() && !self.config.ablate_same_epoch;
+        let fast = self.guard.is_none() && !self.config.ablate_same_epoch;
         (fast, fast && !self.config.ablate_adaptive_read)
     }
 
@@ -1066,9 +1049,10 @@ impl FastTrack {
     /// same-epoch probe (tier 1), the inline race-free exclusive
     /// transition (tier 2), then the out-of-line pre-ensured path (tier 3)
     /// once the probe has proven both shadow slots exist, else the
-    /// governed path (tier 4). `WRITE` picks the rule side at compile time.
+    /// governed path (tier 4). With `RECORD`, the flight recorder sees the
+    /// access first. `WRITE` picks the rule side at compile time.
     #[inline(always)]
-    fn access<const WRITE: bool>(
+    fn access<const WRITE: bool, const RECORD: bool>(
         &mut self,
         index: usize,
         t: Tid,
@@ -1076,6 +1060,10 @@ impl FastTrack {
         (fast, fast_excl): (bool, bool),
         tally: &mut InlineTally,
     ) {
+        if RECORD {
+            let kind = if WRITE { opcode::WRITE } else { opcode::READ };
+            self.record(index, kind, t, x.as_u32(), &[]);
+        }
         if fast {
             if let (Some(ts), Some(vs)) = (self.sync.thread(t), self.vars.get_mut(x.as_usize())) {
                 let same_epoch = if WRITE {

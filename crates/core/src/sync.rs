@@ -189,26 +189,8 @@ impl SyncCore {
     /// [`SyncCore::apply`] for a decoded [`Op`].
     #[inline]
     pub fn apply_op(&mut self, op: &Op, stats: &mut Stats) {
-        let (kind, t, a) = match *op {
-            Op::Acquire(t, m) => (opcode::ACQUIRE, t, m.as_u32()),
-            Op::Release(t, m) => (opcode::RELEASE, t, m.as_u32()),
-            Op::Fork(t, u) => (opcode::FORK, t, u.as_u32()),
-            Op::Join(t, u) => (opcode::JOIN, t, u.as_u32()),
-            Op::VolatileRead(t, x) => (opcode::VOLATILE_READ, t, x.as_u32()),
-            Op::VolatileWrite(t, x) => (opcode::VOLATILE_WRITE, t, x.as_u32()),
-            Op::Wait(t, m) => (opcode::WAIT, t, m.as_u32()),
-            Op::BarrierRelease(ref parties) => {
-                return self.apply(opcode::BARRIER, Tid::new(0), 0, parties, stats);
-            }
-            Op::Read(..)
-            | Op::Write(..)
-            | Op::Notify(..)
-            | Op::AtomicBegin(_)
-            | Op::AtomicEnd(_) => {
-                return;
-            }
-        };
-        self.apply(kind, t, a, &[], stats);
+        let (kind, t, a, parties) = op.raw();
+        self.apply(kind, t, a, parties, stats);
     }
 
     /// `[FT ACQUIRE]`: `C_t := C_t ⊔ L_m`.

@@ -131,24 +131,12 @@ impl EventBlock {
 
     /// Appends an [`Op`].
     pub fn push_op(&mut self, op: &Op) {
-        match *op {
-            Op::Read(t, x) => self.push_simple(opcode::READ, t.as_u32(), x.as_u32()),
-            Op::Write(t, x) => self.push_simple(opcode::WRITE, t.as_u32(), x.as_u32()),
-            Op::Acquire(t, m) => self.push_simple(opcode::ACQUIRE, t.as_u32(), m.as_u32()),
-            Op::Release(t, m) => self.push_simple(opcode::RELEASE, t.as_u32(), m.as_u32()),
-            Op::Fork(t, u) => self.push_simple(opcode::FORK, t.as_u32(), u.as_u32()),
-            Op::Join(t, u) => self.push_simple(opcode::JOIN, t.as_u32(), u.as_u32()),
-            Op::VolatileRead(t, x) => {
-                self.push_simple(opcode::VOLATILE_READ, t.as_u32(), x.as_u32())
+        match op {
+            Op::BarrierRelease(members) => self.push_barrier(members.clone()),
+            _ => {
+                let (kind, t, a, _) = op.raw();
+                self.push_simple(kind, t.as_u32(), a);
             }
-            Op::VolatileWrite(t, x) => {
-                self.push_simple(opcode::VOLATILE_WRITE, t.as_u32(), x.as_u32())
-            }
-            Op::Wait(t, m) => self.push_simple(opcode::WAIT, t.as_u32(), m.as_u32()),
-            Op::Notify(t, m) => self.push_simple(opcode::NOTIFY, t.as_u32(), m.as_u32()),
-            Op::AtomicBegin(t) => self.push_simple(opcode::ATOMIC_BEGIN, t.as_u32(), 0),
-            Op::AtomicEnd(t) => self.push_simple(opcode::ATOMIC_END, t.as_u32(), 0),
-            Op::BarrierRelease(ref members) => self.push_barrier(members.clone()),
         }
     }
 
@@ -222,6 +210,33 @@ impl EventBlock {
     /// Iterates over the block's entries as reconstructed [`Op`]s.
     pub fn ops(&self) -> impl Iterator<Item = Op> + '_ {
         (0..self.len()).map(|i| self.op(i))
+    }
+}
+
+impl Op {
+    /// The op's raw fields `(kind, tid, arg, parties)`, with `kind` an
+    /// [`opcode`] constant and `arg` as the `.ftb` record carries it. A
+    /// barrier release has thread zero, its party count as `arg`, and its
+    /// members as `parties`; every other op has no parties.
+    #[inline]
+    pub fn raw(&self) -> (u8, Tid, u32, &[Tid]) {
+        match *self {
+            Op::Read(t, x) => (opcode::READ, t, x.as_u32(), &[]),
+            Op::Write(t, x) => (opcode::WRITE, t, x.as_u32(), &[]),
+            Op::Acquire(t, m) => (opcode::ACQUIRE, t, m.as_u32(), &[]),
+            Op::Release(t, m) => (opcode::RELEASE, t, m.as_u32(), &[]),
+            Op::Fork(t, u) => (opcode::FORK, t, u.as_u32(), &[]),
+            Op::Join(t, u) => (opcode::JOIN, t, u.as_u32(), &[]),
+            Op::VolatileRead(t, x) => (opcode::VOLATILE_READ, t, x.as_u32(), &[]),
+            Op::VolatileWrite(t, x) => (opcode::VOLATILE_WRITE, t, x.as_u32(), &[]),
+            Op::Wait(t, m) => (opcode::WAIT, t, m.as_u32(), &[]),
+            Op::Notify(t, m) => (opcode::NOTIFY, t, m.as_u32(), &[]),
+            Op::AtomicBegin(t) => (opcode::ATOMIC_BEGIN, t, 0, &[]),
+            Op::AtomicEnd(t) => (opcode::ATOMIC_END, t, 0, &[]),
+            Op::BarrierRelease(ref parties) => {
+                (opcode::BARRIER, Tid::new(0), parties.len() as u32, parties)
+            }
+        }
     }
 }
 

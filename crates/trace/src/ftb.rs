@@ -182,42 +182,24 @@ impl<W: Write> FtbWriter<W> {
 
     /// Appends one event to the stream.
     pub fn write_op(&mut self, op: &Op) -> Result<(), FtbError> {
-        let rec = match *op {
-            Op::Read(t, x) => record(opcode::READ, 0, t.as_u32(), x.as_u32(), 0)?,
-            Op::Write(t, x) => record(opcode::WRITE, 0, t.as_u32(), x.as_u32(), 0)?,
-            Op::Acquire(t, m) => record(opcode::ACQUIRE, 0, t.as_u32(), m.as_u32(), 0)?,
-            Op::Release(t, m) => record(opcode::RELEASE, 0, t.as_u32(), m.as_u32(), 0)?,
-            Op::Fork(t, u) => record(opcode::FORK, 0, t.as_u32(), u.as_u32(), 0)?,
-            Op::Join(t, u) => record(opcode::JOIN, 0, t.as_u32(), u.as_u32(), 0)?,
-            Op::VolatileRead(t, x) => record(opcode::VOLATILE_READ, 0, t.as_u32(), x.as_u32(), 0)?,
-            Op::VolatileWrite(t, x) => {
-                record(opcode::VOLATILE_WRITE, 0, t.as_u32(), x.as_u32(), 0)?
-            }
-            Op::Wait(t, m) => record(opcode::WAIT, 0, t.as_u32(), m.as_u32(), 0)?,
-            Op::Notify(t, m) => record(opcode::NOTIFY, 0, t.as_u32(), m.as_u32(), 0)?,
-            Op::AtomicBegin(t) => record(opcode::ATOMIC_BEGIN, 0, t.as_u32(), 0, 0)?,
-            Op::AtomicEnd(t) => record(opcode::ATOMIC_END, 0, t.as_u32(), 0, 0)?,
-            Op::BarrierRelease(ref members) => {
-                let head = record(opcode::BARRIER, 0, 0, members.len() as u32, 0)?;
-                self.out.write_all(&head)?;
-                self.records += 1;
-                for pair in members.chunks(2) {
-                    let second = pair.get(1).map_or(0, |t| t.as_u32());
-                    let cont = record(
-                        opcode::BARRIER_CONT,
-                        pair.len() as u8,
-                        0,
-                        pair[0].as_u32(),
-                        second,
-                    )?;
-                    self.out.write_all(&cont)?;
-                    self.records += 1;
-                }
-                return Ok(());
-            }
-        };
-        self.out.write_all(&rec)?;
+        // A barrier's head record carries its member count; the members
+        // follow, two per continuation record.
+        let (kind, t, a, members) = op.raw();
+        let head = record(kind, 0, t.as_u32(), a, 0)?;
+        self.out.write_all(&head)?;
         self.records += 1;
+        for pair in members.chunks(2) {
+            let second = pair.get(1).map_or(0, |t| t.as_u32());
+            let cont = record(
+                opcode::BARRIER_CONT,
+                pair.len() as u8,
+                0,
+                pair[0].as_u32(),
+                second,
+            )?;
+            self.out.write_all(&cont)?;
+            self.records += 1;
+        }
         Ok(())
     }
 

@@ -63,6 +63,10 @@ for w in doc["warnings"]:
         assert 0 < len(tail["events"]) <= 8, "tail violates ring capacity"
 assert doc["recorder"]["capacity"] == 8
 assert doc["tiers"]["total"] > 0, "tier counters empty"
+# The recorder observes without steering dispatch: with it on, the inline
+# tiers must still serve accesses.
+assert doc["tiers"]["same_epoch"] + doc["tiers"]["inline_exclusive"] > 0, \
+    "flight recorder forced every access onto the governed tier"
 assert "ftrace_tier_governed_hits" in doc["metrics_prom"], \
     "bundle missing embedded Prometheus text"
 # Validate the standalone exposition: every sample line must be

@@ -272,3 +272,236 @@ fn tier_counters_partition_the_accesses() {
     assert!(prom.contains("# TYPE ftrace_tier_same_epoch_hits counter"));
     assert!(prom.contains(&format!("ftrace_tier_same_epoch_hits {}", tiers.same_epoch)));
 }
+
+/// Seeded racy traces that exercise every way a thread's events reach the
+/// recorder: structured with locks and volatiles, chaotic op soup, and
+/// barrier-heavy (a barrier goes to each of its parties).
+fn recorder_population() -> Vec<(String, fasttrack_suite::trace::Trace)> {
+    let mut out = Vec::new();
+    for seed in 0..8u64 {
+        let racy = GenConfig {
+            ops: 700,
+            ..GenConfig::default().with_races(0.12)
+        };
+        out.push((format!("gen {seed}"), gen::generate(&racy, 300 + seed)));
+        out.push((
+            format!("chaotic {seed}"),
+            gen::chaotic(6, 24, 4, 600, 400 + seed),
+        ));
+        let barriers = GenConfig {
+            threads: 8,
+            vars: 16,
+            locks: 2,
+            ops: 700,
+            accesses_per_cs: 1,
+            p_barrier: 0.08,
+            p_volatile: 0.0,
+            w_lock_protected: 0.05,
+            w_read_shared: 0.6,
+            w_thread_local: 0.35,
+            ..GenConfig::default().with_races(0.1)
+        };
+        out.push((
+            format!("barrier {seed}"),
+            gen::generate(&barriers, 500 + seed),
+        ));
+    }
+    out
+}
+
+/// A recorded event as `(index, kind, arg)`.
+type Event = (u64, u8, u32);
+
+/// Brute-force reference for the flight recorder: every thread's events
+/// as `(index, kind, arg)`, in trace order, with a barrier charged to each
+/// party and the party count as its operand.
+fn per_thread_events(
+    trace: &fasttrack_suite::trace::Trace,
+) -> std::collections::HashMap<u32, Vec<Event>> {
+    use fasttrack_suite::trace::batch::opcode;
+    use fasttrack_suite::trace::Op;
+
+    let mut by_thread: std::collections::HashMap<u32, Vec<Event>> = Default::default();
+    for (i, op) in trace.events().iter().enumerate() {
+        let i = i as u64;
+        let (kind, t, arg) = match op {
+            Op::Read(t, x) => (opcode::READ, *t, x.as_u32()),
+            Op::Write(t, x) => (opcode::WRITE, *t, x.as_u32()),
+            Op::Acquire(t, m) => (opcode::ACQUIRE, *t, m.as_u32()),
+            Op::Release(t, m) => (opcode::RELEASE, *t, m.as_u32()),
+            Op::Fork(t, u) => (opcode::FORK, *t, u.as_u32()),
+            Op::Join(t, u) => (opcode::JOIN, *t, u.as_u32()),
+            Op::VolatileRead(t, x) => (opcode::VOLATILE_READ, *t, x.as_u32()),
+            Op::VolatileWrite(t, x) => (opcode::VOLATILE_WRITE, *t, x.as_u32()),
+            Op::Wait(t, m) => (opcode::WAIT, *t, m.as_u32()),
+            Op::Notify(t, m) => (opcode::NOTIFY, *t, m.as_u32()),
+            Op::AtomicBegin(t) => (opcode::ATOMIC_BEGIN, *t, 0),
+            Op::AtomicEnd(t) => (opcode::ATOMIC_END, *t, 0),
+            Op::BarrierRelease(parties) => {
+                for p in parties {
+                    by_thread.entry(p.as_u32()).or_default().push((
+                        i,
+                        opcode::BARRIER,
+                        parties.len() as u32,
+                    ));
+                }
+                continue;
+            }
+        };
+        by_thread
+            .entry(t.as_u32())
+            .or_default()
+            .push((i, kind, arg));
+    }
+    by_thread
+}
+
+/// Every warning's `provenance.recent` equals the brute-force reference:
+/// the last *k* trace events of each involved thread (prior thread first),
+/// up to and including the warning's event index. Checked for the fused
+/// in-memory loop and for `.ftb` streaming, which must also agree with
+/// each other tail for tail.
+#[test]
+fn recorder_tails_match_brute_force_reference() {
+    use fasttrack_suite::core::{FastTrackConfig, RecorderConfig};
+    use fasttrack_suite::runtime::analyze_stream;
+    use fasttrack_suite::trace::FtbReader;
+
+    let mut tails_checked = 0usize;
+    for (label, trace) in recorder_population() {
+        let reference = per_thread_events(&trace);
+        let bytes = trace.to_ftb().expect("encodable");
+        for capacity in [1usize, 3, 8, 32] {
+            for report_all in [false, true] {
+                let ctx = format!("{label} capacity {capacity} report_all {report_all}");
+                let cfg = FastTrackConfig {
+                    report_all,
+                    recorder: Some(RecorderConfig { capacity }),
+                    ..FastTrackConfig::default()
+                };
+                let mut run = FastTrack::with_config(cfg.clone());
+                run.run(&trace);
+                let mut streamed = FastTrack::with_config(cfg);
+                let mut reader = FtbReader::new(&bytes[..]).expect("valid header");
+                analyze_stream(&mut reader, &mut streamed).expect("valid stream");
+                assert_eq!(run.warnings(), streamed.warnings(), "{ctx}: run vs stream");
+
+                for w in run.warnings() {
+                    let at = w.current.event_index.expect("current access index") as u64;
+                    let mut threads = vec![w.prior.tid];
+                    if w.current.tid != w.prior.tid {
+                        threads.push(w.current.tid);
+                    }
+                    let expected: Vec<(u32, Vec<Event>)> = threads
+                        .iter()
+                        .map(|t| {
+                            let events = reference.get(&t.as_u32()).map_or(&[][..], |v| v);
+                            let upto = events.partition_point(|e| e.0 <= at);
+                            let from = upto.saturating_sub(capacity);
+                            (t.as_u32(), events[from..upto].to_vec())
+                        })
+                        .filter(|(_, events)| !events.is_empty())
+                        .collect();
+                    let got: Vec<(u32, Vec<Event>)> = w
+                        .provenance
+                        .as_ref()
+                        .expect("provenance")
+                        .recent
+                        .iter()
+                        .map(|tail| {
+                            for e in &tail.events {
+                                assert_eq!(e.tid, tail.tid, "{ctx}: event in foreign tail");
+                            }
+                            let events = tail.events.iter().map(|e| (e.index, e.kind, e.arg));
+                            (tail.tid.as_u32(), events.collect())
+                        })
+                        .collect();
+                    assert_eq!(got, expected, "{ctx}: tails of {w}");
+                    tails_checked += got.len();
+                }
+            }
+        }
+    }
+    assert!(
+        tails_checked > 1000,
+        "oracle exercised too few tails ({tails_checked})"
+    );
+}
+
+/// The recorder observes the analysis without steering it: recorder on
+/// and off dispatch every access to the same tier, fire the same rules and
+/// count the same statistics, with the inline tiers still serving
+/// accesses. Under a guard, each thread's ring is charged exactly once.
+#[test]
+fn recorder_does_not_change_dispatch() {
+    use fasttrack_suite::core::{FastTrackConfig, GuardConfig, RecorderConfig};
+    use fasttrack_suite::runtime::analyze_stream;
+    use fasttrack_suite::trace::FtbReader;
+
+    let run_with = |trace: &fasttrack_suite::trace::Trace, cfg: FastTrackConfig, stream: bool| {
+        let mut ft = FastTrack::with_config(cfg);
+        if stream {
+            let bytes = trace.to_ftb().expect("encodable");
+            let mut reader = FtbReader::new(&bytes[..]).expect("valid header");
+            analyze_stream(&mut reader, &mut ft).expect("valid stream");
+        } else {
+            ft.run(trace);
+        }
+        ft
+    };
+    let recorder = Some(RecorderConfig { capacity: 8 });
+    for (label, trace) in recorder_population().into_iter().step_by(2) {
+        for stream in [false, true] {
+            let ctx = format!("{label} stream {stream}");
+            let off = run_with(&trace, FastTrackConfig::default(), stream);
+            let on = run_with(
+                &trace,
+                FastTrackConfig {
+                    recorder,
+                    ..FastTrackConfig::default()
+                },
+                stream,
+            );
+            assert_eq!(on.tier_profile(), off.tier_profile(), "{ctx}: tiers");
+            assert_eq!(on.rule_breakdown(), off.rule_breakdown(), "{ctx}: rules");
+            assert_eq!(on.stats(), off.stats(), "{ctx}: stats");
+            let tiers = on.tier_profile();
+            assert!(
+                tiers.same_epoch + tiers.inline_exclusive > 0,
+                "{ctx}: recorder forced every access off the inline tiers: {tiers:?}"
+            );
+
+            let guard = Some(GuardConfig::default());
+            let governed = run_with(
+                &trace,
+                FastTrackConfig {
+                    guard: guard.clone(),
+                    ..FastTrackConfig::default()
+                },
+                stream,
+            );
+            let governed_rec = run_with(
+                &trace,
+                FastTrackConfig {
+                    guard,
+                    recorder,
+                    ..FastTrackConfig::default()
+                },
+                stream,
+            );
+            let used = |ft: &FastTrack| ft.shadow_budget().expect("guarded").used();
+            let rec = governed_rec.flight_recorder().expect("recorder enabled");
+            assert_eq!(
+                used(&governed_rec) - used(&governed),
+                rec.bytes(),
+                "{ctx}: ring bytes charged other than once per thread"
+            );
+            assert_eq!(rec.bytes(), rec.threads() * 8 * 16, "{ctx}: slot size");
+            assert_eq!(
+                governed_rec.tier_profile(),
+                governed.tier_profile(),
+                "{ctx}: guarded tiers"
+            );
+        }
+    }
+}
